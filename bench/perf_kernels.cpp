@@ -25,6 +25,7 @@
 #include "sim/fault_sim.hpp"
 #include "sim/ternary_sim.hpp"
 #include "util/simd.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -36,7 +37,8 @@ const Circuit& bench_circuit() {
 }
 
 const DetectionDb& bench_db() {
-  static const DetectionDb db = DetectionDb::build(bench_circuit());
+  static const DetectionDb db =
+      DetectionDb::build(bench_circuit(), {}, ThreadPool());
   return db;
 }
 
@@ -44,7 +46,7 @@ const DetectionDb& bench_db_dense() {
   static const DetectionDb db = [] {
     DetectionDbOptions options;
     options.representation = SetRepresentation::kDense;
-    return DetectionDb::build(bench_circuit(), options);
+    return DetectionDb::build(bench_circuit(), options, ThreadPool());
   }();
   return db;
 }
@@ -151,10 +153,9 @@ void BM_AllDetectionSetsBatched(benchmark::State& state) {
   const ReachMatrix reach(c);
   const auto stuck = collapse_stuck_at_faults(lines);
   const auto bridges = enumerate_four_way_bridging(c, reach);
-  BatchFaultSimOptions options;
-  options.num_threads = static_cast<unsigned>(state.range(0));
+  const ThreadPool pool(static_cast<unsigned>(state.range(0)));
   for (auto _ : state) {
-    const BatchFaultSimulator fsim(sim, lines, options);
+    const BatchFaultSimulator fsim(sim, lines, pool);
     const auto stuck_sets = fsim.detection_sets(stuck);
     const auto bridge_sets = fsim.detection_sets(bridges);
     benchmark::DoNotOptimize(stuck_sets.size() + bridge_sets.size());
@@ -166,8 +167,9 @@ BENCHMARK(BM_AllDetectionSetsBatched)->Arg(1)->Arg(0);
 
 void BM_DetectionDbBuild(benchmark::State& state) {
   const Circuit& c = bench_circuit();
+  const ThreadPool pool;
   for (auto _ : state) {
-    const DetectionDb db = DetectionDb::build(c);
+    const DetectionDb db = DetectionDb::build(c, {}, pool);
     benchmark::DoNotOptimize(db.targets().size());
   }
 }
@@ -199,10 +201,9 @@ BENCHMARK(BM_WorstCaseReference);
 // exposes the representation win on this circuit.
 void BM_WorstCasePruned(benchmark::State& state) {
   const DetectionDb& db = bench_db();
-  AnalysisOptions options;
-  options.num_threads = static_cast<unsigned>(state.range(0));
+  const ThreadPool pool(static_cast<unsigned>(state.range(0)));
   for (auto _ : state) {
-    const WorstCaseResult worst = analyze_worst_case(db, options);
+    const WorstCaseResult worst = analyze_worst_case(db, pool);
     benchmark::DoNotOptimize(worst.nmin.size());
   }
   state.SetLabel(simd::level_name(simd::active_level()));
@@ -220,14 +221,13 @@ BENCHMARK(BM_WorstCasePruned)->Arg(1)->Arg(0);
 // with circuit 0 = dvram, 1 = s1a (the largest machine of the suite).
 void BM_WorstCasePrunedLarge(benchmark::State& state) {
   static const DetectionDb dbs[2] = {
-      DetectionDb::build(fsm_benchmark_circuit("dvram")),
-      DetectionDb::build(fsm_benchmark_circuit("s1a")),
+      DetectionDb::build(fsm_benchmark_circuit("dvram"), {}, ThreadPool()),
+      DetectionDb::build(fsm_benchmark_circuit("s1a"), {}, ThreadPool()),
   };
   const DetectionDb& db = dbs[state.range(0)];
-  AnalysisOptions options;
-  options.num_threads = static_cast<unsigned>(state.range(1));
+  const ThreadPool pool(static_cast<unsigned>(state.range(1)));
   for (auto _ : state) {
-    const WorstCaseResult worst = analyze_worst_case(db, options);
+    const WorstCaseResult worst = analyze_worst_case(db, pool);
     benchmark::DoNotOptimize(worst.nmin.size());
   }
   state.SetLabel(std::string(state.range(0) == 0 ? "dvram" : "s1a") + "/" +
@@ -243,10 +243,10 @@ BENCHMARK(BM_WorstCasePrunedLarge)->Args({0, 1})->Args({1, 1})->Args({1, 0});
 // cones sharded across the worker pool.
 void BM_PartitionedWorstCase(benchmark::State& state) {
   const Circuit circuit = multi_adder_circuit(4);
-  AnalysisOptions options;
-  options.num_threads = static_cast<unsigned>(state.range(0));
+  const ThreadPool pool(static_cast<unsigned>(state.range(0)));
   for (auto _ : state) {
-    const auto reports = partitioned_worst_case(circuit, 7, options);
+    const auto reports = partitioned_worst_case(
+        circuit, PartitionOptions{.max_inputs = 7}, pool);
     benchmark::DoNotOptimize(reports.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 4);
@@ -265,10 +265,11 @@ void BM_Procedure1Def1(benchmark::State& state) {
   Procedure1Config config;
   config.nmax = 10;
   config.num_sets = static_cast<std::size_t>(state.range(0));
-  config.num_threads = static_cast<unsigned>(state.range(1));
+  const ThreadPool pool(static_cast<unsigned>(state.range(1)));
   std::uint64_t tests_added = 0;
   for (auto _ : state) {
-    const AverageCaseResult result = run_procedure1(db, monitored, config);
+    const AverageCaseResult result =
+        run_procedure1(db, monitored, config, pool);
     tests_added = result.stats.tests_added;
     benchmark::DoNotOptimize(tests_added);
   }
@@ -287,12 +288,13 @@ void BM_Procedure1Def2(benchmark::State& state) {
   Procedure1Config config;
   config.nmax = 10;
   config.num_sets = static_cast<std::size_t>(state.range(0));
-  config.num_threads = static_cast<unsigned>(state.range(1));
   config.definition = DetectionDefinition::kDissimilar;
+  const ThreadPool pool(static_cast<unsigned>(state.range(1)));
   Def2OracleStats cache;
   std::uint64_t queries = 0;
   for (auto _ : state) {
-    const AverageCaseResult result = run_procedure1(db, monitored, config);
+    const AverageCaseResult result =
+        run_procedure1(db, monitored, config, pool);
     cache = result.def2_cache;
     queries = result.stats.distinct_queries;
     benchmark::DoNotOptimize(queries);

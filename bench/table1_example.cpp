@@ -32,7 +32,7 @@ int main() {
   TextTable table({"i", "f_i", "T(f_i)", "nmin(g0,f_i)"});
   table.set_align(2, Align::kLeft);
   std::uint64_t nmin_g0 = kNeverGuaranteed;
-  for (const OverlapEntry& entry : overlap_entries(db, 0)) {
+  for (const OverlapEntry& entry : overlap_entries(db, 0, session.pool())) {
     const StuckAtFault& fault = db.targets()[entry.target_index];
     std::ostringstream tests;
     db.target_sets()[entry.target_index].for_each_set(

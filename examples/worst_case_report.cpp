@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
                 to_string(db.untargeted()[j], session.circuit()).c_str(),
                 static_cast<unsigned long long>(worst.nmin[j]),
                 db.untargeted_sets()[j].count());
-    auto entries = overlap_entries(db, j);
+    auto entries = overlap_entries(db, j, session.pool());
     std::sort(entries.begin(), entries.end(),
               [](const OverlapEntry& a, const OverlapEntry& b) {
                 return a.nmin_gf < b.nmin_gf;

@@ -5,6 +5,7 @@
 #include "sim/batch_fault_sim.hpp"
 #include "sim/exhaustive.hpp"
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ndet {
 
@@ -17,7 +18,8 @@ std::vector<Bitset> detection_matrix(const LineModel& lines,
                                      std::span<const std::uint32_t> tests) {
   std::vector<std::uint64_t> vectors(tests.begin(), tests.end());
   const ExhaustiveSimulator sim(lines.circuit(), vectors);
-  const BatchFaultSimulator fault_sim(sim, lines);
+  const ThreadPool pool;  // all hardware threads
+  const BatchFaultSimulator fault_sim(sim, lines, pool);
   return fault_sim.detection_sets(faults);
 }
 

@@ -11,12 +11,6 @@
 namespace ndet {
 
 DetectionDb DetectionDb::build(const Circuit& circuit,
-                               const DetectionDbOptions& options) {
-  const ThreadPool pool(options.num_threads);
-  return build(circuit, options, pool);
-}
-
-DetectionDb DetectionDb::build(const Circuit& circuit,
                                const DetectionDbOptions& options,
                                const ThreadPool& pool,
                                const CancelToken* cancel) {

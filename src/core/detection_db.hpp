@@ -39,8 +39,7 @@ class ThreadPool;
 
 /// Options controlling database construction.
 struct DetectionDbOptions {
-  int max_inputs = 20;       ///< exhaustive-simulation input limit
-  unsigned num_threads = 0;  ///< fault-simulation workers; 0 = all hardware threads
+  int max_inputs = 20;  ///< exhaustive-simulation input limit
   /// Storage policy for the frozen T(f)/T(g) sets.
   SetRepresentation representation = SetRepresentation::kAdaptive;
 };
@@ -51,14 +50,10 @@ class DetectionDb {
   /// Builds the database: simulates the circuit exhaustively, enumerates and
   /// collapses stuck-at faults, enumerates four-way bridging faults, and
   /// computes all detection sets.  The circuit is copied in, so the database
-  /// is self-contained.
-  static DetectionDb build(const Circuit& circuit,
-                           const DetectionDbOptions& options = {});
-
-  /// Same, on a caller-owned worker pool (AnalysisSession shares one pool
-  /// across every stage); options.num_threads is ignored.  A non-null
-  /// `cancel` is polled between fault simulations and between the build
-  /// phases; a fired token raises Error with stage "detection_db" (or
+  /// is self-contained.  Fault simulation fans out across the caller-owned
+  /// worker pool (AnalysisSession shares one pool across every stage).  A
+  /// non-null `cancel` is polled between fault simulations and between the
+  /// build phases; a fired token raises Error with stage "detection_db" (or
   /// "fault_sim" when it fired mid-batch).
   static DetectionDb build(const Circuit& circuit,
                            const DetectionDbOptions& options,

@@ -232,20 +232,6 @@ std::string to_json(const ConeReport& report) {
   return w.str();
 }
 
-std::vector<ConeReport> partitioned_worst_case(const Circuit& circuit,
-                                               std::size_t max_inputs,
-                                               const AnalysisOptions& options) {
-  const ThreadPool pool(options.num_threads);
-  return partitioned_worst_case(circuit, max_inputs, pool);
-}
-
-std::vector<ConeReport> partitioned_worst_case(const Circuit& circuit,
-                                               std::size_t max_inputs,
-                                               const ThreadPool& pool) {
-  return partitioned_worst_case(
-      circuit, PartitionOptions{.max_inputs = max_inputs}, pool);
-}
-
 std::vector<ConeReport> partitioned_worst_case(
     const Circuit& circuit, const PartitionOptions& partition,
     const ThreadPool& pool, const CancelToken* cancel) {

@@ -82,26 +82,15 @@ struct ConeReport {
 /// Serializes one cone summary as a JSON object.
 std::string to_json(const ConeReport& report);
 
-/// Partitions the circuit and runs the worst-case analysis on every cone.
-/// Cones are independent, so they are sharded across the worker pool
-/// (options.num_threads), and the remaining pool width is split evenly
-/// among the cones' nested builds/sweeps (a single cone gets the full
-/// pool).  Reports are index-aligned with the cone list, so the output is
-/// identical at every thread count.
-std::vector<ConeReport> partitioned_worst_case(
-    const Circuit& circuit, std::size_t max_inputs,
-    const AnalysisOptions& options = {});
-
-/// Same, on a caller-owned worker pool (AnalysisSession shares one pool
-/// across every stage).
-std::vector<ConeReport> partitioned_worst_case(const Circuit& circuit,
-                                               std::size_t max_inputs,
-                                               const ThreadPool& pool);
-
-/// Full-control variant: any grouping mode, caller-owned pool.  A non-null
-/// `cancel` is polled between cone claims and inside every nested build and
-/// sweep; a fired token raises Error with stage "partitioned" (or the inner
-/// stage that observed it first).
+/// Partitions the circuit per `partition` and runs the worst-case analysis
+/// on every cone.  Cones are independent, so they are sharded across the
+/// caller-owned worker pool (AnalysisSession shares one pool across every
+/// stage), and the remaining pool width is split evenly among the cones'
+/// nested builds/sweeps (a single cone gets the full pool).  Reports are
+/// index-aligned with the cone list, so the output is identical at every
+/// thread count.  A non-null `cancel` is polled between cone claims and
+/// inside every nested build and sweep; a fired token raises Error with
+/// stage "partitioned" (or the inner stage that observed it first).
 std::vector<ConeReport> partitioned_worst_case(
     const Circuit& circuit, const PartitionOptions& partition,
     const ThreadPool& pool, const CancelToken* cancel = nullptr);

@@ -127,7 +127,6 @@ struct SetResult {
 /// subset of T_k, or the detection count reached nmax.
 constexpr std::uint32_t kRetired = ~std::uint32_t{0};
 
-
 /// Mutable trajectory state of one set T_k inside a batch group.  Target
 /// bookkeeping is indexed by the engine's SORTED target order.
 ///
@@ -144,56 +143,26 @@ constexpr std::uint32_t kRetired = ~std::uint32_t{0};
 /// entries only grow between sweeps, so a recorded min stays a valid lower
 /// bound until the next sweep rewrites it.
 struct MemberState {
-  /// Builds the trajectory state, consuming `frontier`: a fresh frontier
-  /// (completed_n == 0) starts the set from scratch, a resumed one restores
-  /// exactly the state the checkpoint captured.  tile_min_known is always
-  /// recomputed from `known` because the engine's tile geometry can differ
-  /// between the checkpointing and the resuming build (SIMD level), while
-  /// the N(f)-sorted target order cannot.
-  MemberState(const GroupInputs& in, std::uint64_t set_index,
-              Procedure1SetFrontier&& frontier)
+  MemberState(const GroupInputs& in, std::uint64_t set_index)
       : rng(in.seed, set_index),
         members(in.vectors),
         detected(in.monitored_count),
-        start_n(frontier.completed_n) {
-    const std::size_t targets = in.engine->detectable_targets();
-    known.assign(targets, 0);
-    if (in.def2) def2.resize(targets);
+        known(in.engine->detectable_targets(), 0),
+        tile_min_known(in.engine->tile_count(), 0) {
+    if (in.def2) def2.resize(known.size());
     const auto nmax = static_cast<std::size_t>(in.nmax);
     out.detected.reserve(nmax);
     out.sizes.reserve(nmax);
-    if (start_n > 0) {
-      members = std::move(frontier.members);
-      detected = std::move(frontier.detected);
-      known = std::move(frontier.known);
-      out.detected = std::move(frontier.detected_snapshots);
-      out.sizes = std::move(frontier.sizes);
-      out.order = std::move(frontier.order);
-      out.stats = frontier.stats;
-      if (in.def2) {
-        for (std::size_t k = 0; k < targets; ++k) {
-          def2[k].counted = std::move(frontier.def2_counted[k]);
-          def2[k].cursor = frontier.def2_cursor[k];
-        }
-      }
-    }
-    tile_min_known.resize(in.engine->tile_count());
-    for (std::size_t t = 0; t < in.engine->tile_count(); ++t) {
-      const auto [tile_begin, tile_end] = in.engine->tile_range(t);
-      std::uint32_t tile_min = kRetired;
-      for (std::uint32_t k = tile_begin; k < tile_end; ++k)
-        tile_min = std::min(tile_min, known[k]);
-      tile_min_known[t] = tile_min;
-    }
   }
 
   CounterRng rng;
   Bitset members;   ///< tests currently in T_k
   Bitset detected;  ///< over the monitored list
-  int start_n = 0;  ///< iterations already covered by the resume frontier
   std::vector<std::uint32_t> known;           ///< per sorted target
   std::vector<std::uint32_t> tile_min_known;  ///< min of known per tile
   std::vector<Def2State> def2;  ///< per sorted target (Def-2 runs only)
+  /// Filled in worker-local memory (the hot counters live here) and moved
+  /// into the run's k-aligned slot once the group finishes.
   SetResult out;
 };
 
@@ -363,36 +332,30 @@ void visit_def2(const GroupInputs& in, MemberState& ms, int n, std::size_t k,
 /// reads only the member's own monotone bounds, so a member's trajectory
 /// is the same at every width, thread count and SIMD level; the batch only
 /// changes how many sets share one pass over the target payloads.
-/// Members enter and leave through their frontiers: each starts at its own
-/// completed_n (frontiers can be heterogeneous after a resume regrouped the
-/// sets under a different batch width) and joins iteration n only once n
-/// exceeds it.  A fired CancelToken is observed at ITERATION BOUNDARIES
-/// only -- inside an iteration a member's per-target visit order and draws
-/// are already fixed, so stopping between iterations is what keeps the
-/// frontier a clean prefix of the uninterrupted trajectory and makes resume
-/// bit-identical.
-void run_group(const GroupInputs& in, std::size_t first_set, std::size_t width,
-               std::span<Procedure1SetFrontier> frontiers, Def2Oracle* oracle,
+/// A fired CancelToken is observed between iterations; the group then
+/// stops without filling its slots and run_procedure1 raises, so no
+/// partial trajectory escapes.
+void run_group(const GroupInputs& in, std::size_t first_set,
+               std::span<SetResult> results, Def2Oracle* oracle,
                const CancelToken* cancel) {
   const PairKernelEngine& engine = *in.engine;
+  const std::size_t width = results.size();
   std::vector<MemberState> group;
   group.reserve(width);
   for (std::size_t b = 0; b < width; ++b)
-    group.emplace_back(in, static_cast<std::uint64_t>(first_set + b),
-                       std::move(frontiers[b]));
+    group.emplace_back(in, static_cast<std::uint64_t>(first_set + b));
 
   std::uint32_t active[PairKernelEngine::kBatchWidth];
   std::uint32_t new_min[PairKernelEngine::kBatchWidth];
   const Bitset::word_type* rows[PairKernelEngine::kBatchWidth];
   std::uint32_t counts[PairKernelEngine::kBatchWidth];
 
-  int reached = in.nmax;  ///< last iteration the loop below finished
   for (int n = 1; n <= in.nmax; ++n) {
     const auto need = static_cast<std::uint32_t>(n);
     for (std::size_t t = 0; t < engine.tile_count(); ++t) {
       std::size_t num_active = 0;
       for (std::size_t b = 0; b < width; ++b)
-        if (group[b].start_n < n && group[b].tile_min_known[t] < need) {
+        if (group[b].tile_min_known[t] < need) {
           active[num_active] = static_cast<std::uint32_t>(b);
           rows[num_active] = group[b].members.words();
           new_min[num_active] = kRetired;
@@ -416,73 +379,24 @@ void run_group(const GroupInputs& in, std::size_t first_set, std::size_t width,
       for (std::size_t a = 0; a < num_active; ++a)
         group[active[a]].tile_min_known[t] = new_min[a];
     }
-    // Snapshot every participating member's state at the end of iteration n
-    // (saturated members keep snapshotting their frozen state; resumed
-    // members already carry their snapshots up to start_n).
+    // Snapshot every member's state at the end of iteration n (saturated
+    // members keep snapshotting their frozen state).
     for (MemberState& ms : group) {
-      if (ms.start_n >= n) continue;
       ms.out.detected.push_back(ms.detected);
       ms.out.sizes.push_back(static_cast<std::uint32_t>(ms.out.order.size()));
     }
-    if (n < in.nmax && is_cancelled(cancel)) {
-      reached = n;
-      break;
-    }
+    if (n < in.nmax && is_cancelled(cancel)) return;
   }
-
-  for (std::size_t b = 0; b < width; ++b) {
-    MemberState& ms = group[b];
-    Procedure1SetFrontier& out = frontiers[b];
-    out.completed_n = std::max(reached, ms.start_n);
-    out.members = std::move(ms.members);
-    out.detected = std::move(ms.detected);
-    out.detected_snapshots = std::move(ms.out.detected);
-    out.sizes = std::move(ms.out.sizes);
-    out.order = std::move(ms.out.order);
-    out.known = std::move(ms.known);
-    out.stats = ms.out.stats;
-    if (in.def2) {
-      out.def2_counted.resize(ms.def2.size());
-      out.def2_cursor.resize(ms.def2.size());
-      for (std::size_t k = 0; k < ms.def2.size(); ++k) {
-        out.def2_counted[k] = std::move(ms.def2[k].counted);
-        out.def2_cursor[k] = ms.def2[k].cursor;
-      }
-    }
-  }
+  for (std::size_t b = 0; b < width; ++b) results[b] = std::move(group[b].out);
 }
 
 }  // namespace
 
 AverageCaseResult run_procedure1(const DetectionDb& db,
                                  std::span<const std::size_t> monitored,
-                                 const Procedure1Config& config) {
-  const ThreadPool pool(config.num_threads);
-  return run_procedure1(db, monitored, config, pool);
-}
-
-AverageCaseResult run_procedure1(const DetectionDb& db,
-                                 std::span<const std::size_t> monitored,
                                  const Procedure1Config& config,
                                  const ThreadPool& pool,
                                  const CancelToken* cancel) {
-  Procedure1Partial partial =
-      run_procedure1_resumable(db, monitored, config, pool, cancel);
-  if (!partial.complete) {
-    check_cancel(cancel, "average_case");
-    // Unreachable unless the resumable engine stopped without a fired
-    // token, which would be a bug.
-    throw Error(ErrorKind::kInternal,
-                "run_procedure1: incomplete without cancellation",
-                "average_case");
-  }
-  return std::move(partial.result);
-}
-
-Procedure1Partial run_procedure1_resumable(
-    const DetectionDb& db, std::span<const std::size_t> monitored,
-    const Procedure1Config& config, const ThreadPool& pool,
-    const CancelToken* cancel, const Procedure1Checkpoint* resume) {
   require(config.nmax >= 1, "run_procedure1: nmax must be >= 1");
   require(config.num_sets >= 1, "run_procedure1: need at least one test set");
 
@@ -513,43 +427,6 @@ Procedure1Partial run_procedure1_resumable(
   const PairKernelEngine engine(std::span<const DetectionSet>(target_sets),
                                 vectors);
 
-  // Start every set at a fresh frontier, or at the checkpointed one.  Only
-  // the result-affecting config fields must match the checkpoint;
-  // num_threads and batch_width are performance knobs and may differ.
-  std::vector<Procedure1SetFrontier> frontiers(k_sets);
-  if (resume != nullptr) {
-    const Procedure1Config& prior = resume->config;
-    require(prior.nmax == config.nmax && prior.num_sets == config.num_sets &&
-                prior.seed == config.seed &&
-                prior.definition == config.definition &&
-                prior.def2_probe_limit == config.def2_probe_limit,
-            "run_procedure1: checkpoint was taken under a different "
-            "result-affecting configuration");
-    require(resume->monitored.size() == monitored.size() &&
-                std::equal(resume->monitored.begin(), resume->monitored.end(),
-                           monitored.begin()),
-            "run_procedure1: checkpoint monitored a different fault list");
-    require(resume->sets.size() == k_sets,
-            "run_procedure1: checkpoint frontier count mismatch");
-    const std::size_t detectable = engine.detectable_targets();
-    for (const Procedure1SetFrontier& f : resume->sets) {
-      require(f.completed_n >= 0 && f.completed_n <= config.nmax,
-              "run_procedure1: checkpoint frontier iteration out of range");
-      if (f.completed_n == 0) continue;
-      require(f.members.size() == vectors &&
-                  f.detected.size() == monitored.size() &&
-                  f.known.size() == detectable &&
-                  f.detected_snapshots.size() ==
-                      static_cast<std::size_t>(f.completed_n) &&
-                  f.sizes.size() == static_cast<std::size_t>(f.completed_n) &&
-                  (!def2 || (f.def2_counted.size() == detectable &&
-                             f.def2_cursor.size() == detectable)),
-              "run_procedure1: checkpoint frontier shape does not match the "
-              "detection database");
-    }
-    frontiers = resume->sets;
-  }
-
   GroupInputs inputs;
   inputs.engine = &engine;
   inputs.target_sets = target_sets;
@@ -574,8 +451,8 @@ Procedure1Partial run_procedure1_resumable(
   // workers each own a private oracle, so the hot distinct() path takes no
   // locks; a one-worker pool degenerates to serial on the calling thread.
   // Cancellation is polled between group claims (pool level) and between
-  // iterations (run_group), so each set's frontier advances in clean
-  // iteration steps.
+  // iterations (run_group).
+  std::vector<SetResult> sets(k_sets);
   const std::size_t groups = (k_sets + width - 1) / width;
   const unsigned workers = pool.workers_for(groups);
   std::vector<std::unique_ptr<Def2Oracle>> oracles(workers);
@@ -587,23 +464,12 @@ Procedure1Partial run_procedure1_resumable(
       oracle = oracles[worker].get();
     }
     const std::size_t first = g * width;
-    const std::size_t group_width = std::min(width, k_sets - first);
-    run_group(inputs, first, group_width,
-              std::span<Procedure1SetFrontier>(frontiers)
-                  .subspan(first, group_width),
+    run_group(inputs, first,
+              std::span<SetResult>(sets).subspan(
+                  first, std::min(width, k_sets - first)),
               oracle, cancel);
   }, cancel);
-
-  Procedure1Partial partial;
-  partial.complete = std::all_of(
-      frontiers.begin(), frontiers.end(),
-      [&](const Procedure1SetFrontier& f) { return f.completed_n == config.nmax; });
-  if (!partial.complete) {
-    partial.checkpoint.config = config;
-    partial.checkpoint.monitored.assign(monitored.begin(), monitored.end());
-    partial.checkpoint.sets = std::move(frontiers);
-    return partial;
-  }
+  check_cancel(cancel, "average_case");
 
   // Deterministic merge in k order.
   AverageCaseResult result;
@@ -619,10 +485,10 @@ Procedure1Partial run_procedure1_resumable(
     if (config.keep_test_sets) result.test_sets[n].resize(k_sets);
   }
   for (std::size_t k = 0; k < k_sets; ++k) {
-    const Procedure1SetFrontier& set = frontiers[k];
+    const SetResult& set = sets[k];
     for (std::size_t n = 0; n < iterations; ++n) {
       auto& dn = result.detect_count[n];
-      set.detected_snapshots[n].for_each_set([&](std::size_t j) { ++dn[j]; });
+      set.detected[n].for_each_set([&](std::size_t j) { ++dn[j]; });
       result.set_sizes[n][k] = set.sizes[n];
       if (config.keep_test_sets)
         result.test_sets[n][k].assign(set.order.begin(),
@@ -634,8 +500,7 @@ Procedure1Partial run_procedure1_resumable(
   }
   for (const auto& oracle : oracles)
     if (oracle) result.def2_cache += oracle->stats();
-  partial.result = std::move(result);
-  return partial;
+  return result;
 }
 
 }  // namespace ndet

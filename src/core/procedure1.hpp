@@ -33,14 +33,13 @@
 // group member has a live target in them.
 //
 // Sets evolve independently and draws are coordinate-addressed, so results
-// are bit-identical at every batch width, every thread count (num_threads =
-// 1 is serial on the calling thread, 0 uses every hardware thread -- the
-// repository-wide convention) and every SIMD dispatch level.  Definition-2
-// candidate search scans all of T(f_i) - T_k when small, and otherwise
-// takes `def2_probe_limit` random probes (documented deviation; DESIGN.md
-// "Definition 2").  See DESIGN.md "Counter-based RNG and batched
-// Procedure 1" for the coordinate scheme, the batched sweep and the
-// retirement discipline.
+// are bit-identical at every batch width, every worker-pool width (a
+// one-thread pool runs serially on the calling thread) and every SIMD
+// dispatch level.  Definition-2 candidate search scans all of T(f_i) - T_k
+// when small, and otherwise takes `def2_probe_limit` random probes
+// (documented deviation; DESIGN.md "Definition 2").  See DESIGN.md
+// "Counter-based RNG and batched Procedure 1" for the coordinate scheme,
+// the batched sweep and the retirement discipline.
 
 #pragma once
 
@@ -68,17 +67,13 @@ struct Procedure1Config {
   DetectionDefinition definition = DetectionDefinition::kStandard;
   bool keep_test_sets = false;  ///< record every test set (Table 4)
   std::size_t def2_probe_limit = 32;  ///< bounded candidate probing (Def. 2)
-  /// Worker threads sharding the K sets; each worker owns whole batch
-  /// groups of set trajectories.  0 (the default) uses every hardware
-  /// thread, matching DetectionDbOptions/AnalysisOptions; 1 runs serially
-  /// on the calling thread.  The value never changes any result.
-  unsigned num_threads = 0;
   /// Sets per batch group in the saturation sweep.  0 (the default) uses
   /// the kernel batch width (PairKernelEngine::kBatchWidth); 1 runs each
   /// set's sweep serially; values above the kernel width are clamped to
-  /// it.  Like num_threads, a pure performance knob: the value never
-  /// changes any result.
+  /// it.  A pure performance knob: the value never changes any result.
   std::size_t batch_width = 0;
+
+  bool operator==(const Procedure1Config&) const = default;
 };
 
 /// Procedure-1 bookkeeping counters (reported by the perf bench).  All three
@@ -127,74 +122,16 @@ struct AverageCaseResult {
 /// monitored indices, the exact d(n,g) counts and set sizes, and the stats.
 std::string to_json(const AverageCaseResult& result);
 
-/// One set's resume frontier, captured at an iteration boundary.  The
-/// counter-based RNG makes this small state sufficient: every draw is a
-/// pure function of (seed, set index, iteration, fault, site), so replaying
-/// nothing and resuming from the frontier reproduces the uninterrupted
-/// trajectory bit for bit.  Target bookkeeping (`known`, the Definition-2
-/// counted sets) is indexed by the engine's N(f)-sorted order, which is a
-/// pure function of the detection database -- stable across thread counts,
-/// batch widths and SIMD levels.  Tile geometry is NOT captured; it is
-/// recomputed on resume from `known`, so a checkpoint taken under one
-/// kernel tier resumes correctly under another.
-struct Procedure1SetFrontier {
-  int completed_n = 0;  ///< iterations fully finished for this set
-  Bitset members;       ///< T_k
-  Bitset detected;      ///< monitored faults detected by T_k
-  std::vector<Bitset> detected_snapshots;  ///< [n-1], n <= completed_n
-  std::vector<std::uint32_t> sizes;        ///< [n-1]: |T_k| after iteration n
-  std::vector<std::uint32_t> order;        ///< insertion order of T_k
-  std::vector<std::uint32_t> known;        ///< per sorted target (see .cpp)
-  std::vector<std::vector<std::uint32_t>> def2_counted;  ///< Def-2 runs only
-  std::vector<std::uint32_t> def2_cursor;                ///< Def-2 runs only
-  Procedure1Stats stats;
-};
-
-/// A cancelled Procedure-1 run, ready to resume.  Sets may sit at different
-/// frontiers (workers observe cancellation independently); resume regroups
-/// them under the new run's batch width and each set continues from its own
-/// completed_n.
-struct Procedure1Checkpoint {
-  Procedure1Config config;             ///< the interrupted run's parameters
-  std::vector<std::size_t> monitored;  ///< the interrupted run's monitored
-  std::vector<Procedure1SetFrontier> sets;  ///< k-indexed, size num_sets
-};
-
-/// Outcome of a resumable run: either the finished result or a checkpoint.
-struct Procedure1Partial {
-  bool complete = false;
-  AverageCaseResult result;         ///< valid when complete
-  Procedure1Checkpoint checkpoint;  ///< valid when !complete
-};
-
 /// Runs Procedure 1 and the average-case analysis over the monitored
 /// untargeted faults (typically those with nmin(g) > nmax, per Table 5).
-AverageCaseResult run_procedure1(const DetectionDb& db,
-                                 std::span<const std::size_t> monitored,
-                                 const Procedure1Config& config);
-
-/// Same, on a caller-owned worker pool (AnalysisSession shares one pool
-/// across every stage); config.num_threads is ignored.  A fired `cancel`
-/// raises Error with stage "average_case"; use the resumable variant below
-/// to keep the partial work instead.
+/// The K sets shard across the caller-owned worker pool (AnalysisSession
+/// shares one pool across every stage).  A non-null `cancel` is polled
+/// between batch-group claims and between iterations; a fired token raises
+/// Error with stage "average_case".
 AverageCaseResult run_procedure1(const DetectionDb& db,
                                  std::span<const std::size_t> monitored,
                                  const Procedure1Config& config,
                                  const ThreadPool& pool,
                                  const CancelToken* cancel = nullptr);
-
-/// Cancellation-aware Procedure 1: on a fired token it returns (not throws)
-/// a checkpoint holding every set's iteration frontier; pass that checkpoint
-/// back as `resume` to continue.  A resumed run is bit-identical to an
-/// uninterrupted one -- across any number of interruptions, at any thread
-/// count or batch width on either side (both are performance knobs and may
-/// legitimately differ between the runs; the checkpoint validates the
-/// result-affecting config fields and the monitored list, and rejects
-/// mismatches with Error{kInvalidInput}).
-Procedure1Partial run_procedure1_resumable(
-    const DetectionDb& db, std::span<const std::size_t> monitored,
-    const Procedure1Config& config, const ThreadPool& pool,
-    const CancelToken* cancel = nullptr,
-    const Procedure1Checkpoint* resume = nullptr);
 
 }  // namespace ndet

@@ -155,18 +155,11 @@ const AverageCaseResult& AnalysisSession::average_case(
   const std::span<const std::size_t> faults =
       request.monitored ? std::span<const std::size_t>(*request.monitored)
                         : ensure_monitored(request.nmax);
-  Procedure1Config config;
-  config.nmax = request.nmax;
-  config.num_sets = request.num_sets;
-  config.seed = request.seed;
-  config.definition = request.definition;
-  config.def2_probe_limit = request.def2_probe_limit;
-  config.keep_test_sets = request.keep_test_sets;
   const DetectionDb& database = ensure_db();
   auto result = timed(stats_.average_case_seconds, [&] {
     return guard_stage("average_case", [&] {
       return std::make_unique<AverageCaseResult>(
-          run_procedure1(database, faults, config, pool_, cancel()));
+          run_procedure1(database, faults, request, pool_, cancel()));
     });
   });
   average_.emplace_back(request, std::move(result));
@@ -189,11 +182,6 @@ const std::vector<ConeReport>& AnalysisSession::partitioned(
   });
   partitioned_.emplace_back(request, std::move(reports));
   return *partitioned_.back().second;
-}
-
-const std::vector<ConeReport>& AnalysisSession::partitioned(
-    std::size_t max_inputs) {
-  return partitioned(PartitionOptions{.max_inputs = max_inputs});
 }
 
 SessionStats AnalysisSession::stats() const {

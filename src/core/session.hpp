@@ -8,11 +8,12 @@
 // SessionOptions, ONE shared ThreadPool for the session's lifetime, and
 // lazy, memoized stage accessors, so repeated queries (Table 5 vs Table 6,
 // ablation sweeps, threshold scans) reuse the frozen database and nmin
-// vector instead of rebuilding them.  The free functions
+// vector instead of rebuilding them.  The stage functions
 // (DetectionDb::build, analyze_worst_case, run_procedure1,
-// partitioned_worst_case) remain the session's internals -- every accessor
-// delegates to them with the shared pool, so session results are
-// bit-identical to direct calls at every thread count.
+// partitioned_worst_case) each have exactly one entry point taking a
+// caller-owned pool; every accessor delegates to them with the shared pool,
+// so session results are bit-identical to direct calls at every thread
+// count.
 //
 // A session is single-threaded on the outside (accessors memoize without
 // locks); parallelism lives inside the stages.  run_batch is the
@@ -61,16 +62,10 @@ struct SessionOptions {
   std::shared_ptr<CancelToken> cancel_token = nullptr;
 };
 
-/// One average-case query: the Procedure-1 parameters that key the
-/// session's memo.  Two requests hit the same cache entry iff every field
-/// compares equal.
-struct Procedure1Request {
-  int nmax = 10;                ///< build 1..nmax detection test sets
-  std::size_t num_sets = 1000;  ///< K
-  std::uint64_t seed = 1;       ///< master seed
-  DetectionDefinition definition = DetectionDefinition::kStandard;
-  std::size_t def2_probe_limit = 32;  ///< bounded candidate probing (Def. 2)
-  bool keep_test_sets = false;  ///< record every test set (Table 4)
+/// One average-case query: the Procedure-1 parameters plus the monitored
+/// list, which together key the session's memo.  Two requests hit the same
+/// cache entry iff every field compares equal.
+struct Procedure1Request : Procedure1Config {
   /// Monitored untargeted-fault indices.  Disengaged derives the paper's
   /// monitored set from the worst-case stage: the faults with
   /// nmin(g) > nmax (Tables 5/6).
@@ -167,9 +162,6 @@ class AnalysisSession {
   /// partition request (budget vs structure mode, thresholds).  The
   /// returned reference is stable for the session's lifetime.
   const std::vector<ConeReport>& partitioned(const PartitionOptions& request);
-
-  /// Budget-mode convenience: partitioned({.max_inputs = max_inputs}).
-  const std::vector<ConeReport>& partitioned(std::size_t max_inputs);
 
   SessionStats stats() const;
 

@@ -78,12 +78,6 @@ std::uint64_t nmin_of(const DetectionSet& untargeted_set,
 }
 
 WorstCaseResult analyze_worst_case(const DetectionDb& db,
-                                   const AnalysisOptions& options) {
-  const ThreadPool pool(options.num_threads);
-  return analyze_worst_case(db, pool);
-}
-
-WorstCaseResult analyze_worst_case(const DetectionDb& db,
                                    const ThreadPool& pool,
                                    const CancelToken* cancel) {
   check_cancel(cancel, "worst_case");
@@ -112,13 +106,6 @@ WorstCaseResult analyze_worst_case(const DetectionDb& db,
   }, cancel);
   check_cancel(cancel, "worst_case");
   return result;
-}
-
-std::vector<OverlapEntry> overlap_entries(const DetectionDb& db,
-                                          std::size_t untargeted_index,
-                                          const AnalysisOptions& options) {
-  const ThreadPool pool(options.num_threads);
-  return overlap_entries(db, untargeted_index, pool);
 }
 
 std::vector<OverlapEntry> overlap_entries(const DetectionDb& db,

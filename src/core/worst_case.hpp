@@ -77,22 +77,13 @@ std::string to_json(const WorstCaseResult& result);
 std::uint64_t nmin_of(const DetectionSet& untargeted_set,
                       std::span<const DetectionSet> target_sets);
 
-/// Options for the analysis sweeps.
-struct AnalysisOptions {
-  unsigned num_threads = 0;  ///< analysis workers; 0 = all hardware threads
-};
-
 /// Runs the worst-case analysis for every fault in G on the tiled
-/// pair-kernel engine: batches of untargeted faults shard across the worker
-/// pool and the N(f)-sorted prune fires tile by tile.  Bit-identical to the
-/// serial unpruned nmin_of sweep at every thread count, representation
-/// policy and SIMD dispatch level.
-WorstCaseResult analyze_worst_case(const DetectionDb& db,
-                                   const AnalysisOptions& options = {});
-
-/// Same, on a caller-owned worker pool (AnalysisSession shares one pool
-/// across every stage).  A non-null `cancel` is polled between batch
-/// claims; a fired token raises Error with stage "worst_case".
+/// pair-kernel engine: batches of untargeted faults shard across the
+/// caller-owned worker pool (AnalysisSession shares one pool across every
+/// stage) and the N(f)-sorted prune fires tile by tile.  Bit-identical to
+/// the serial unpruned nmin_of sweep at every thread count, representation
+/// policy and SIMD dispatch level.  A non-null `cancel` is polled between
+/// batch claims; a fired token raises Error with stage "worst_case".
 WorstCaseResult analyze_worst_case(const DetectionDb& db,
                                    const ThreadPool& pool,
                                    const CancelToken* cancel = nullptr);
@@ -105,17 +96,12 @@ struct OverlapEntry {
   std::size_t m_gf;          ///< M(g,f) = |T(f) n T(g)|
   std::uint64_t nmin_gf;     ///< N - M + 1
 };
-/// Note: each call packs a fresh pair-kernel engine over the target family
-/// (cost comparable to one unpruned scan) -- fine for the few-shot CLI
+/// The engine's tiles shard across the caller-owned pool.  Note: each call
+/// packs a fresh pair-kernel engine over the target family (cost
+/// comparable to one unpruned scan) -- fine for the few-shot CLI
 /// drill-downs this serves; tight loops over many faults should use
 /// analyze_worst_case or drive PairKernelEngine::intersect_counts
 /// directly on one engine.
-std::vector<OverlapEntry> overlap_entries(const DetectionDb& db,
-                                          std::size_t untargeted_index,
-                                          const AnalysisOptions& options = {});
-
-/// Same, on a caller-owned worker pool (consistent with the other stages):
-/// the engine's tiles shard across the pool.
 std::vector<OverlapEntry> overlap_entries(const DetectionDb& db,
                                           std::size_t untargeted_index,
                                           const ThreadPool& pool);

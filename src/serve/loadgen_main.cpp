@@ -3,25 +3,20 @@
 // Generates a deterministic (seeded) schedule of mixed worst-case /
 // average-case / partition requests across a circuit list (with a
 // deterministic interactive/batch priority mix), replays them at a
-// configurable client concurrency, and writes a BENCH_serve.json summary
-// (p50/p90/p99 latency overall and per priority, throughput, shed/retry
-// counts, the server's own stats) next to the repository's other benchmark
-// baselines.
+// configurable client concurrency, and writes a JSON summary (--out,
+// default loadgen_report.json: p50/p90/p99 latency overall and per
+// priority, throughput, shed/retry counts, the server's own stats).
 //
 // Modes:
 //   * in-process (default): drives serve::Server::submit through the real
 //     admission queue from N closed-loop client threads -- no I/O noise,
 //     the numbers measure the engine.
-//   * --server=PATH: fork/execs the ndetd binary, speaks the line protocol
-//     over pipes (stdin/stdout) with pipelined requests -- the numbers
-//     measure the whole daemon.  The child runs with an UNBOUNDED admission
-//     queue: a pipelined writer floods thousands of lines at once by
-//     design, and this mode validates results, not shedding.
 //   * --connect=PORT: closed-loop TCP clients against an already-running
 //     ndetd (one connection per client thread, synchronous
-//     request/response).  This is the overload mode: shed responses and
-//     rejected connections are retried with exponential backoff + jitter,
-//     honoring the server's retry_after_ms hint.
+//     request/response) -- the numbers measure the whole daemon.  Shed
+//     responses and rejected connections are retried with exponential
+//     backoff + jitter, honoring the server's retry_after_ms hint, which
+//     makes this the overload mode too.
 //
 // Every mode retries shed (resource_exhausted + retry_after_ms) responses
 // up to --max-retries times; latency is measured first-send to final
@@ -40,7 +35,6 @@
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -308,111 +302,6 @@ RunResult run_inprocess(serve::Server& server,
   return result;
 }
 
-/// Pipe replay: fork/exec the ndetd binary and pipeline the schedule
-/// through its stdin/stdout.  Latency includes queueing delay, which is the
-/// point -- it is the latency a pipelined client observes under load.
-RunResult run_pipe(const std::string& server_path,
-                   const std::vector<PlannedRequest>& planned,
-                   const serve::ServerOptions& options) {
-  int to_child[2];
-  int from_child[2];
-  require(::pipe(to_child) == 0 && ::pipe(from_child) == 0,
-          "loadgen: pipe() failed");
-  const pid_t pid = ::fork();
-  require(pid >= 0, "loadgen: fork() failed");
-  if (pid == 0) {
-    ::dup2(to_child[0], STDIN_FILENO);
-    ::dup2(from_child[1], STDOUT_FILENO);
-    ::close(to_child[0]);
-    ::close(to_child[1]);
-    ::close(from_child[0]);
-    ::close(from_child[1]);
-    const std::string cache = "--cache-bytes=" + std::to_string(options.cache_bytes);
-    const std::string conc = "--concurrency=" + std::to_string(options.concurrency);
-    const std::string threads = "--threads=" + std::to_string(options.threads);
-    // Unbounded admission: this mode pipelines the whole schedule at once
-    // by design, and it validates results rather than shedding behavior.
-    ::execl(server_path.c_str(), server_path.c_str(), cache.c_str(),
-            conc.c_str(), threads.c_str(), "--queue-depth=0",
-            "--queue-bytes=0", static_cast<char*>(nullptr));
-    std::perror("loadgen: execl ndetd");
-    ::_exit(127);
-  }
-  ::close(to_child[0]);
-  ::close(from_child[1]);
-
-  RunResult result;
-  result.latency_ms.resize(planned.size());
-  result.responses.resize(planned.size());
-  std::vector<std::chrono::steady_clock::time_point> sent(planned.size());
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  std::thread writer([&] {
-    for (std::size_t i = 0; i < planned.size(); ++i) {
-      const std::string line = planned[i].line + "\n";
-      sent[i] = std::chrono::steady_clock::now();
-      std::size_t written = 0;
-      while (written < line.size()) {
-        const ssize_t n = ::write(to_child[1], line.data() + written,
-                                  line.size() - written);
-        if (n <= 0) return;
-        written += static_cast<std::size_t>(n);
-      }
-    }
-    const std::string stats = "{\"id\":0,\"type\":\"stats\"}\n";
-    (void)!::write(to_child[1], stats.data(), stats.size());
-    ::close(to_child[1]);
-  });
-
-  std::string buffer;
-  char chunk[65536];
-  std::size_t received = 0;
-  while (received < planned.size() + 1) {
-    const ssize_t got = ::read(from_child[0], chunk, sizeof chunk);
-    if (got <= 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(got));
-    std::size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      if (line.empty()) continue;
-      ++received;
-      const auto now = std::chrono::steady_clock::now();
-      const json::Value response = json::parse(line);
-      const std::uint64_t id = response.at("id").as_uint64();
-      if (id == 0) {
-        // The trailing stats probe; its payload is the server's own view.
-        if (const json::Value* r = response.find("result")) {
-          const std::size_t at = line.find("\"result\":");
-          (void)r;
-          if (at != std::string::npos)
-            result.server_stats =
-                line.substr(at + 9, line.size() - (at + 9) - 1);
-        }
-        continue;
-      }
-      require(id >= 1 && id <= planned.size(),
-              "loadgen: response id out of range");
-      result.responses[id - 1] = line;
-      result.latency_ms[id - 1] =
-          std::chrono::duration<double, std::milli>(now - sent[id - 1])
-              .count();
-    }
-  }
-  writer.join();
-  ::close(from_child[0]);
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  require(WIFEXITED(status) && WEXITSTATUS(status) == 0,
-          "loadgen: ndetd exited abnormally");
-  result.wall_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - wall_start)
-                            .count();
-  for (const std::string& response : result.responses)
-    require(!response.empty(), "loadgen: missing response for a request id");
-  return result;
-}
-
 // --- TCP closed-loop mode ---------------------------------------------------
 
 int connect_loopback(int port) {
@@ -550,7 +439,7 @@ int main(int argc, char** argv) {
     const CliArgs args(argc, argv,
                        {"requests", "concurrency", "circuits", "cache-bytes",
                         "threads", "seed", "out", "responses", "validate",
-                        "server", "deadline-every", "num-sets", "nmax",
+                        "deadline-every", "num-sets", "nmax",
                         "interactive-every", "max-retries", "connect",
                         "max-p99-ms", "queue-depth", "queue-bytes"});
     const std::size_t requests = args.get_u64("requests", 2000);
@@ -586,10 +475,7 @@ int main(int argc, char** argv) {
 
     RunResult run;
     std::string mode;
-    if (args.has("server")) {
-      mode = "pipe";
-      run = run_pipe(args.get("server", ""), planned, options);
-    } else if (args.has("connect")) {
+    if (args.has("connect")) {
       mode = "connect";
       run = run_connect(static_cast<int>(args.get_u64("connect", 0)), planned,
                         concurrency, max_retries);
@@ -723,7 +609,7 @@ int main(int argc, char** argv) {
       w.key("server_stats").raw(run.server_stats);
     w.end_object();
 
-    const std::string out_path = args.get("out", "BENCH_serve.json");
+    const std::string out_path = args.get("out", "loadgen_report.json");
     write_json_file(out_path, w.str());
     std::cout << "loadgen: " << requests << " requests (" << ok << " ok, "
               << errors << " errors, " << deadline_exceeded

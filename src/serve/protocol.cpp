@@ -120,9 +120,8 @@ Request parse_request(const std::string& line) {
     if (const json::Value* v = root.find("nmax")) {
       const std::int64_t nmax = v->as_int64();
       require(nmax >= 1 && nmax <= 1000, "nmax must be in [1, 1000]");
-      request.nmax = static_cast<int>(nmax);
+      request.average.nmax = static_cast<int>(nmax);
     }
-    request.average.nmax = request.nmax;
     if (const json::Value* v = root.find("num_sets")) {
       request.average.num_sets = static_cast<std::size_t>(v->as_uint64());
       require(request.average.num_sets >= 1, "num_sets must be >= 1");

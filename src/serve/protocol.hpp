@@ -78,7 +78,6 @@ struct Request {
   std::string circuit;
   std::uint64_t deadline_ms = 0;  ///< 0 = no per-request deadline
   CacheKey key;                   ///< circuit + result-relevant options
-  int nmax = 10;                  ///< monitored threshold (average_case)
   Procedure1Request average;      ///< average_case parameters
   PartitionOptions partition;     ///< partition parameters
 };

@@ -181,10 +181,6 @@ bool Server::overloaded() const {
   return queue_.depth() * 4 >= options_.max_queue_depth * 3;
 }
 
-std::string Server::handle_line(const std::string& line) {
-  return handle_line(line, nullptr);
-}
-
 std::string Server::handle_line(const std::string& line,
                                 std::optional<ErrorKind>* failure) {
   return process_line(line, failure, /*admitted_before_drain=*/false);
@@ -233,7 +229,7 @@ std::string Server::process_line(const std::string& line,
   priority_counters.requests.fetch_add(1, std::memory_order_relaxed);
   std::string response;
   try {
-    response = run_request(request, failure, admitted_before_drain);
+    response = run_request(request);
     counters.ok.fetch_add(1, std::memory_order_relaxed);
     priority_counters.ok.fetch_add(1, std::memory_order_relaxed);
   } catch (const Error& e) {
@@ -259,10 +255,7 @@ std::string Server::process_line(const std::string& line,
   return response;
 }
 
-std::string Server::run_request(const Request& request,
-                                std::optional<ErrorKind>* failure,
-                                bool admitted_before_drain) {
-  (void)failure;
+std::string Server::run_request(const Request& request) {
   const auto start = std::chrono::steady_clock::now();
   check_cancel(lifetime_.get(), "serve.dispatch");
 
@@ -345,7 +338,6 @@ std::string Server::run_request(const Request& request,
   cache_.update(lease);
   const SessionStats stats = session.stats();
   session.rearm(0, nullptr);
-  (void)admitted_before_drain;
   return ok_response(request, result, stats, lease.hit(),
                      elapsed_ms_since(start));
 }

@@ -118,13 +118,11 @@ class Server {
   /// (without trailing newline).  Never throws: every failure becomes an
   /// error response.  Thread-safe.  Bypasses admission control EXCEPT for
   /// drain mode: once draining, analysis requests are shed (ping, stats
-  /// and health still answer).
-  std::string handle_line(const std::string& line);
-
-  /// Like handle_line, also reporting the error kind of a failed request
-  /// (disengaged on success) -- the --oneshot exit-code path.
+  /// and health still answer).  A non-null `failure` receives the error
+  /// kind of a failed request (disengaged on success) -- the --oneshot
+  /// exit-code path.
   std::string handle_line(const std::string& line,
-                          std::optional<ErrorKind>* failure);
+                          std::optional<ErrorKind>* failure = nullptr);
 
   /// The admission-controlled path: sheds when the queue is full (typed
   /// ResourceExhausted + retry_after_ms, priority-honoring displacement)
@@ -208,9 +206,7 @@ class Server {
   std::string process_line(const std::string& line,
                            std::optional<ErrorKind>* failure,
                            bool admitted_before_drain);
-  std::string run_request(const Request& request,
-                          std::optional<ErrorKind>* failure,
-                          bool admitted_before_drain);
+  std::string run_request(const Request& request);
   TypeCounters& counters_for(RequestType type);
   void ensure_dispatchers();
   void dispatch_loop();

@@ -93,16 +93,17 @@ void SessionCache::update(const Lease& lease) {
     stats_.bytes -= entry.charged;
   }
   entry.charged = charge;
+  if (budget_bytes_ != 0 && stats_.bytes > budget_bytes_)
+    NDET_INJECT("serve.cache_evict",
+                throw Error(ErrorKind::kResourceExhausted,
+                            "injected eviction failure (site "
+                            "serve.cache_evict)"));
   evict_to_budget_locked();
 }
 
 void SessionCache::evict_to_budget_locked() {
   if (budget_bytes_ == 0) return;
   while (stats_.bytes > budget_bytes_) {
-    NDET_INJECT("serve.cache_evict",
-                throw Error(ErrorKind::kResourceExhausted,
-                            "injected eviction failure (site "
-                            "serve.cache_evict)"));
     // Least-recently-used unpinned entry; pinned entries are skipped (an
     // in-flight request must keep its session), so a fully-pinned cache may
     // transiently exceed the budget.
@@ -188,7 +189,9 @@ SessionCache::Lease::~Lease() {
   // when none are blocked -- a batch waiter; the predicates sort it out.
   entry_->available.notify_all();
   const std::lock_guard<std::mutex> lock(cache_->mutex_);
-  --entry_->pins;
+  // update() cannot evict the entry it charges (this lease pins it), so an
+  // entry larger than the budget is evicted here, once its last pin drops.
+  if (--entry_->pins == 0) cache_->evict_to_budget_locked();
 }
 
 }  // namespace ndet::serve

@@ -31,9 +31,13 @@
 // Charging happens at update() time, after a request's stages ran -- the
 // database is built lazily, so the admission-time charge of a fresh entry
 // is zero and the real bytes land when the lease is updated.  update() is
-// an explicit call (not the Lease destructor) because eviction carries a
+// an explicit call (not the Lease destructor) because it carries a
 // fault-injection site ("serve.cache_evict") that may throw, and
-// destructors must not.  See DESIGN.md "Analysis as a service".
+// destructors must not.  The Lease destructor re-runs the (non-throwing)
+// eviction when it drops the entry's last pin, so an entry larger than the
+// budget -- which update() had to keep because its own lease pinned it --
+// leaves as soon as the request is done.  See DESIGN.md "Analysis as a
+// service".
 
 #pragma once
 
@@ -108,7 +112,7 @@ class SessionCache {
   /// until the charged total fits the budget again.  Call after a request's
   /// stages ran (success or abort -- a half-run request may still have
   /// built the database).  Fault-injection site "serve.cache_evict" fires
-  /// here as Error{kResourceExhausted}.
+  /// here, before evicting, as Error{kResourceExhausted}.
   void update(const Lease& lease);
 
   /// Drops every unpinned entry (counted as evictions).
@@ -151,8 +155,9 @@ class SessionCache {
  public:
   /// RAII request-scoped handle: owns the entry's busy flag and pin.
   /// Movable, not copyable.  The destructor hands the entry to the next
-  /// waiter (interactive first) and releases the pin only; byte accounting
-  /// is the explicit update() call.
+  /// waiter (interactive first), releases the pin and, when that was the
+  /// last pin, evicts down to the budget; charging is the explicit update()
+  /// call.
   class Lease {
    public:
     Lease(Lease&&) noexcept = default;

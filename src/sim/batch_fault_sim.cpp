@@ -10,23 +10,18 @@ namespace ndet {
 
 BatchFaultSimulator::BatchFaultSimulator(const ExhaustiveSimulator& good,
                                          const LineModel& lines,
-                                         BatchFaultSimOptions options)
-    : good_(&good), lines_(&lines), graph_(good.circuit()), cones_(graph_) {
+                                         const ThreadPool& pool)
+    : good_(&good),
+      lines_(&lines),
+      pool_(&pool),
+      graph_(good.circuit()),
+      cones_(graph_) {
   require(&good.circuit() == &lines.circuit(),
           "BatchFaultSimulator: simulator and line model refer to different "
           "circuits");
-  num_threads_ = resolve_thread_count(options.num_threads);
   const Circuit& circuit = good.circuit();
   for (GateId g = 0; g < circuit.gate_count(); ++g)
     max_fanin_ = std::max(max_fanin_, circuit.gate(g).fanins.size());
-}
-
-BatchFaultSimulator::BatchFaultSimulator(const ExhaustiveSimulator& good,
-                                         const LineModel& lines,
-                                         const ThreadPool& pool)
-    : BatchFaultSimulator(good, lines,
-                          BatchFaultSimOptions{pool.thread_count()}) {
-  shared_pool_ = &pool;
 }
 
 std::span<const GateId> BatchFaultSimulator::cone_gates(GateId root) const {
@@ -166,8 +161,7 @@ std::vector<Bitset> BatchFaultSimulator::run_batch(
   std::vector<Bitset> sets(faults.size());
   if (faults.empty()) return sets;
 
-  const ThreadPool local(num_threads_);
-  const ThreadPool& pool = shared_pool_ ? *shared_pool_ : local;
+  const ThreadPool& pool = *pool_;
   // One scratch arena per worker, reused across all its faults -- zero
   // allocations in steady state.
   std::vector<Scratch> scratch(pool.workers_for(faults.size()));

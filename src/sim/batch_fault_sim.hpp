@@ -49,21 +49,11 @@ namespace ndet {
 
 class ThreadPool;
 
-/// Options controlling the batched engine.
-struct BatchFaultSimOptions {
-  /// Worker threads for batch calls; 0 picks std::thread::hardware_concurrency.
-  unsigned num_threads = 0;
-};
-
 /// Batched detection-set engine over a prebuilt fault-free simulation.
 class BatchFaultSimulator {
  public:
-  BatchFaultSimulator(const ExhaustiveSimulator& good, const LineModel& lines,
-                      BatchFaultSimOptions options = {});
-
-  /// Runs batch calls on a caller-owned pool instead of a private one (the
-  /// session facade shares one pool across every stage).  The pool must
-  /// outlive the simulator.
+  /// Batch calls run on the caller-owned `pool` (the session facade shares
+  /// one pool across every stage).  The pool must outlive the simulator.
   BatchFaultSimulator(const ExhaustiveSimulator& good, const LineModel& lines,
                       const ThreadPool& pool);
 
@@ -84,9 +74,6 @@ class BatchFaultSimulator {
   /// topological order, and the primary outputs among those gates.
   std::span<const GateId> cone_gates(GateId root) const;
   std::span<const GateId> cone_outputs(GateId root) const;
-
-  /// Resolved worker-pool width.
-  unsigned thread_count() const { return num_threads_; }
 
  private:
   enum class InjectionKind : std::uint8_t { kStemStuck, kBranchStuck, kBridge };
@@ -123,8 +110,7 @@ class BatchFaultSimulator {
 
   const ExhaustiveSimulator* good_;
   const LineModel* lines_;
-  const ThreadPool* shared_pool_ = nullptr;  ///< non-owning; may be null
-  unsigned num_threads_ = 1;
+  const ThreadPool* pool_;  ///< non-owning
 
   // Shared structural layer: the graph built once, all cones frozen in CSR.
   NetlistGraph graph_;

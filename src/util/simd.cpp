@@ -441,8 +441,7 @@ bool cpu_has_avx512() {
 }
 
 Level resolve_from_environment() {
-  return resolve_level(std::getenv("NDET_SIMD_LEVEL"),
-                       std::getenv("NDET_FORCE_PORTABLE"), cpu_has_avx2(),
+  return resolve_level(std::getenv("NDET_SIMD_LEVEL"), cpu_has_avx2(),
                        cpu_has_avx512());
 }
 
@@ -471,8 +470,8 @@ bool compiled_with_avx2() { return NDET_SIMD_COMPILED_AVX2 != 0; }
 bool compiled_with_avx512() { return NDET_SIMD_COMPILED_AVX512 != 0; }
 bool compiled_with_neon() { return NDET_SIMD_COMPILED_NEON != 0; }
 
-Level resolve_level(const char* simd_level_env, const char* force_portable_env,
-                    bool cpu_avx2, bool cpu_avx512) {
+Level resolve_level(const char* simd_level_env, bool cpu_avx2,
+                    bool cpu_avx512) {
   const bool avx2_ok = compiled_with_avx2() && cpu_avx2;
   const bool avx512_ok = compiled_with_avx512() && cpu_avx512;
   const bool neon_ok = compiled_with_neon();
@@ -489,15 +488,8 @@ Level resolve_level(const char* simd_level_env, const char* force_portable_env,
                        : (avx2_ok ? Level::kAvx2 : Level::kPortable);
     if (matches("avx2")) return avx2_ok ? Level::kAvx2 : Level::kPortable;
     if (matches("neon")) return neon_ok ? Level::kNeon : Level::kPortable;
-    // Empty or unrecognized: fall through to the legacy alias / auto rule.
+    // Empty or unrecognized: fall through to the auto rule.
   }
-
-  // Legacy alias: NDET_FORCE_PORTABLE = NDET_SIMD_LEVEL=portable (any
-  // non-empty value other than "0"; empty counts as unset).
-  const bool forced =
-      force_portable_env != nullptr && force_portable_env[0] != '\0' &&
-      !(force_portable_env[0] == '0' && force_portable_env[1] == '\0');
-  if (forced) return Level::kPortable;
 
   // Auto: the widest tier this build/CPU supports.
   if (avx512_ok) return Level::kAvx512;
@@ -510,7 +502,7 @@ bool level_available(Level level) {
   if (level == Level::kPortable) return true;
   // A level is available when the environment-free resolution could pick it:
   // compiled in, supported by the CPU, and not overridden away by
-  // NDET_SIMD_LEVEL / NDET_FORCE_PORTABLE.
+  // NDET_SIMD_LEVEL.
   const Level resolved = resolve_from_environment();
   switch (level) {
     case Level::kAvx2:
@@ -529,7 +521,7 @@ Level active_level() { return level_state().load(std::memory_order_relaxed); }
 void set_level_for_testing(Level level) {
   require(level_available(level),
           "simd::set_level_for_testing: requested level is not available on "
-          "this build/CPU (or NDET_SIMD_LEVEL/NDET_FORCE_PORTABLE is set)");
+          "this build/CPU (or NDET_SIMD_LEVEL is set)");
   level_state().store(level, std::memory_order_relaxed);
 }
 

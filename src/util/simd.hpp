@@ -22,9 +22,6 @@
 //     Requests degrade gracefully to the best available lower tier (avx512
 //     -> avx2 -> portable; neon -> portable); an empty or unrecognized
 //     value is ignored.
-//   * NDET_FORCE_PORTABLE (any non-empty value other than "0") is the
-//     legacy alias for NDET_SIMD_LEVEL=portable, consulted only when
-//     NDET_SIMD_LEVEL does not decide.
 //
 // Building with -DNDET_DISABLE_AVX2=ON / -DNDET_DISABLE_AVX512=ON compiles
 // the respective vector paths out entirely (the AVX-512 path also requires
@@ -75,8 +72,7 @@ bool compiled_with_neon();
 bool level_available(Level level);
 
 /// The level all dispatched kernels currently use.  Resolved once on first
-/// use from the CPU and the NDET_SIMD_LEVEL / NDET_FORCE_PORTABLE
-/// environment variables.
+/// use from the CPU and the NDET_SIMD_LEVEL environment variable.
 Level active_level();
 
 /// Test hook: pins the dispatch level for the rest of the process.  Throws
@@ -86,15 +82,13 @@ void set_level_for_testing(Level level);
 
 /// The pure resolution rule behind active_level(), exposed for unit tests.
 /// `simd_level_env` is the raw NDET_SIMD_LEVEL value (nullptr when unset;
-/// empty or unrecognized values are ignored), `force_portable_env` the raw
-/// NDET_FORCE_PORTABLE value (legacy alias for "portable"; any non-empty
-/// value other than "0" forces portable, consulted only when
-/// NDET_SIMD_LEVEL does not decide).  `cpu_has_avx2` / `cpu_has_avx512`
-/// are the runtime CPU feature bits (only honoured when the corresponding
-/// path was compiled in).  Explicit requests degrade to the best available
-/// lower tier; with no request the best available tier wins.
-Level resolve_level(const char* simd_level_env, const char* force_portable_env,
-                    bool cpu_has_avx2, bool cpu_has_avx512);
+/// empty or unrecognized values are ignored).  `cpu_has_avx2` /
+/// `cpu_has_avx512` are the runtime CPU feature bits (only honoured when
+/// the corresponding path was compiled in).  Explicit requests degrade to
+/// the best available lower tier; with no request the best available tier
+/// wins.
+Level resolve_level(const char* simd_level_env, bool cpu_has_avx2,
+                    bool cpu_has_avx512);
 
 /// One dispatch table entry per kernel.  All counts are exact.
 struct Kernels {

@@ -26,6 +26,7 @@
 namespace ndet {
 namespace {
 
+using testing::shared_pool;
 using testing::to_vector;
 
 /// Machines exercised exhaustively: every suite entry whose synthesized
@@ -61,7 +62,7 @@ TEST(BatchFaultSim, CrossValidatesAgainstReferenceOnFsmSuite) {
     const LineModel lines(circuit);
     const ExhaustiveSimulator good(circuit);
     const FaultSimulator reference(good, lines);
-    const BatchFaultSimulator batched(good, lines);
+    const BatchFaultSimulator batched(good, lines, shared_pool());
 
     const std::vector<StuckAtFault> targets = collapse_stuck_at_faults(lines);
     expect_identical_sets(reference.detection_sets(targets),
@@ -83,7 +84,7 @@ TEST(BatchFaultSim, CrossValidatesInExplicitVectorMode) {
   const std::vector<std::uint64_t> vectors = {0, 3, 7, 11, 42, 63, 100, 255};
   const ExhaustiveSimulator good(circuit, vectors);
   const FaultSimulator reference(good, lines);
-  const BatchFaultSimulator batched(good, lines);
+  const BatchFaultSimulator batched(good, lines, shared_pool());
   const std::vector<StuckAtFault> targets = collapse_stuck_at_faults(lines);
   expect_identical_sets(reference.detection_sets(targets),
                         batched.detection_sets(targets), "bbara", "list-mode");
@@ -98,16 +99,17 @@ TEST(BatchFaultSim, DeterministicAcrossThreadCounts) {
   const std::vector<BridgingFault> bridges =
       enumerate_four_way_bridging(circuit, reach);
 
-  const BatchFaultSimulator single(good, lines, {.num_threads = 1});
+  const ThreadPool serial(1);
+  const BatchFaultSimulator single(good, lines, serial);
   const std::vector<Bitset> stuck_baseline = single.detection_sets(targets);
   const std::vector<Bitset> bridge_baseline = single.detection_sets(bridges);
 
   for (const unsigned threads : {2u, 3u, 8u}) {
-    const BatchFaultSimulator pool(good, lines, {.num_threads = threads});
-    EXPECT_EQ(pool.thread_count(), threads);
-    expect_identical_sets(stuck_baseline, pool.detection_sets(targets),
+    const ThreadPool pool(threads);
+    const BatchFaultSimulator sharded(good, lines, pool);
+    expect_identical_sets(stuck_baseline, sharded.detection_sets(targets),
                           "bbara", "stuck-at (threads)");
-    expect_identical_sets(bridge_baseline, pool.detection_sets(bridges),
+    expect_identical_sets(bridge_baseline, sharded.detection_sets(bridges),
                           "bbara", "bridging (threads)");
   }
 }
@@ -116,7 +118,7 @@ TEST(BatchFaultSim, PrecomputedConesMatchOnDemandComputation) {
   const Circuit circuit = fsm_benchmark_circuit("bbtas");
   const LineModel lines(circuit);
   const ExhaustiveSimulator good(circuit);
-  const BatchFaultSimulator batched(good, lines);
+  const BatchFaultSimulator batched(good, lines, shared_pool());
   const NetlistGraph graph(circuit);
   for (GateId g = 0; g < circuit.gate_count(); ++g) {
     const std::vector<GateId> expected = fanout_cone(graph, g);
@@ -137,7 +139,7 @@ TEST(BatchFaultSim, SingleFaultConvenienceMatchesPaperOracle) {
   const Circuit circuit = paper_example();
   const LineModel lines(circuit);
   const ExhaustiveSimulator good(circuit);
-  const BatchFaultSimulator batched(good, lines);
+  const BatchFaultSimulator batched(good, lines, shared_pool());
   const std::vector<StuckAtFault> targets = collapse_stuck_at_faults(lines);
   const auto& oracle = testing::paper_example_faults();
   ASSERT_EQ(targets.size(), oracle.size());
@@ -157,7 +159,7 @@ TEST(BatchFaultSim, DetectionDbUsesIdenticalSets) {
   // into the adaptive representation; thawed back to Bitsets they must
   // still match a from-scratch per-fault computation.
   const Circuit circuit = fsm_benchmark_circuit("dk27");
-  const DetectionDb db = DetectionDb::build(circuit);
+  const DetectionDb db = DetectionDb::build(circuit, {}, shared_pool());
   const ExhaustiveSimulator good(db.circuit());
   const FaultSimulator reference(good, db.lines());
   const std::vector<Bitset> reference_targets =

@@ -1,6 +1,5 @@
 // cancel_test.cpp -- cooperative cancellation, deadlines, the typed error
-// taxonomy, ThreadPool exception context, and Procedure-1 checkpoint/resume
-// bit-identity.
+// taxonomy, and ThreadPool exception context.
 
 #include <gtest/gtest.h>
 
@@ -380,6 +379,28 @@ TEST(StageErrors, RunBatchSurfacesPreCancelledToken) {
   }
 }
 
+TEST(StageErrors, Procedure1ThrowsOnCancel) {
+  // A fired token stops Procedure 1 and raises, attributed to its stage; no
+  // partial result escapes.
+  const Circuit circuit = paper_example();
+  const ThreadPool pool(2);
+  const DetectionDb db = DetectionDb::build(circuit, {}, pool);
+  std::vector<std::size_t> all(db.untargeted().size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  Procedure1Config config;
+  config.nmax = 5;
+  config.num_sets = 24;
+  CancelToken fired;
+  fired.cancel("no partials wanted");
+  try {
+    (void)run_procedure1(db, all, config, pool, &fired);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kCancelled);
+    EXPECT_EQ(e.stage(), "average_case");
+  }
+}
+
 // --- Zero-overhead path -----------------------------------------------------
 
 TEST(ZeroOverhead, LiveTokenChangesNoResult) {
@@ -400,172 +421,6 @@ TEST(ZeroOverhead, LiveTokenChangesNoResult) {
 
   // Default session options take the zero-overhead path outright.
   EXPECT_EQ(AnalysisSession(circuit).cancel(), nullptr);
-}
-
-// --- Procedure 1: checkpoint / resume ---------------------------------------
-
-void expect_identical_average(const AverageCaseResult& a,
-                              const AverageCaseResult& b) {
-  EXPECT_EQ(a.monitored, b.monitored);
-  EXPECT_EQ(a.detect_count, b.detect_count);
-  EXPECT_EQ(a.set_sizes, b.set_sizes);
-  EXPECT_EQ(a.test_sets, b.test_sets);
-  EXPECT_EQ(a.stats.tests_added, b.stats.tests_added);
-  EXPECT_EQ(a.stats.def1_fallbacks, b.stats.def1_fallbacks);
-  EXPECT_EQ(a.stats.distinct_queries, b.stats.distinct_queries);
-  // def2_cache is deliberately excluded: worker cache sharing depends on
-  // scheduling and is documented as telemetry, not a result.
-}
-
-Procedure1Config resume_config(DetectionDefinition definition) {
-  Procedure1Config config;
-  config.nmax = 5;
-  config.num_sets = 24;
-  config.seed = 2005;
-  config.definition = definition;
-  config.keep_test_sets = true;
-  return config;
-}
-
-/// Drives a run to completion through repeated short-deadline interruptions,
-/// hopping between thread counts and batch widths across the cycles (both
-/// are performance knobs on either side of a checkpoint).  The growing
-/// deadline guarantees termination on any machine; how many interruptions
-/// actually land is timing-dependent and irrelevant to the bit-identity
-/// being asserted.
-AverageCaseResult run_with_interruptions(const DetectionDb& db,
-                                         std::span<const std::size_t> monitored,
-                                         const Procedure1Config& config,
-                                         int* interruptions) {
-  const unsigned thread_plan[] = {1, 8, 2};
-  const std::size_t width_plan[] = {1, 0, 3};
-  Procedure1Checkpoint saved;
-  bool have_checkpoint = false;
-  for (int cycle = 0;; ++cycle) {
-    Procedure1Config cfg = config;
-    cfg.batch_width = width_plan[cycle % 3];
-    const ThreadPool pool(thread_plan[cycle % 3]);
-    CancelToken token;
-    token.set_deadline_after_ms(1 + static_cast<std::uint64_t>(cycle) * 2);
-    Procedure1Partial partial = run_procedure1_resumable(
-        db, monitored, cfg, pool, &token, have_checkpoint ? &saved : nullptr);
-    if (partial.complete) {
-      if (interruptions) *interruptions = cycle;
-      return partial.result;
-    }
-    saved = std::move(partial.checkpoint);
-    have_checkpoint = true;
-  }
-}
-
-TEST(Procedure1Resume, InterruptedRunsAreBitIdentical) {
-  const Circuit circuit = fsm_benchmark_circuit("bbtas");
-  const ThreadPool pool(1);
-  const DetectionDb db = DetectionDb::build(circuit, {}, pool);
-  std::vector<std::size_t> all(db.untargeted().size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-
-  for (const auto definition :
-       {DetectionDefinition::kStandard, DetectionDefinition::kDissimilar}) {
-    SCOPED_TRACE(definition == DetectionDefinition::kStandard ? "def1"
-                                                              : "def2");
-    const Procedure1Config config = resume_config(definition);
-    const AverageCaseResult uninterrupted =
-        run_procedure1(db, all, config, pool);
-    int interruptions = 0;
-    const AverageCaseResult resumed =
-        run_with_interruptions(db, all, config, &interruptions);
-    expect_identical_average(resumed, uninterrupted);
-  }
-}
-
-TEST(Procedure1Resume, PreFiredTokenCheckpointsAtIterationZero) {
-  const Circuit circuit = fsm_benchmark_circuit("dk27");
-  const DetectionDb db = DetectionDb::build(circuit, {}, ThreadPool(2));
-  std::vector<std::size_t> all(db.untargeted().size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  const Procedure1Config config = resume_config(DetectionDefinition::kStandard);
-
-  CancelToken fired;
-  fired.cancel();
-  const ThreadPool pool8(8);
-  Procedure1Partial partial =
-      run_procedure1_resumable(db, all, config, pool8, &fired);
-  ASSERT_FALSE(partial.complete);
-  ASSERT_EQ(partial.checkpoint.sets.size(), config.num_sets);
-  for (const Procedure1SetFrontier& frontier : partial.checkpoint.sets)
-    EXPECT_EQ(frontier.completed_n, 0);
-
-  // Resuming under a different thread count and batch width reproduces the
-  // uninterrupted run exactly.
-  const ThreadPool pool1(1);
-  Procedure1Config narrow = config;
-  narrow.batch_width = 1;
-  const Procedure1Partial finished = run_procedure1_resumable(
-      db, all, narrow, pool1, nullptr, &partial.checkpoint);
-  ASSERT_TRUE(finished.complete);
-  expect_identical_average(finished.result,
-                           run_procedure1(db, all, config, pool1));
-}
-
-TEST(Procedure1Resume, NonResumableVariantThrowsOnCancel) {
-  const Circuit circuit = paper_example();
-  const ThreadPool pool(2);
-  const DetectionDb db = DetectionDb::build(circuit, {}, pool);
-  std::vector<std::size_t> all(db.untargeted().size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  CancelToken fired;
-  fired.cancel("no partials wanted");
-  try {
-    (void)run_procedure1(
-        db, all, resume_config(DetectionDefinition::kStandard), pool, &fired);
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.kind(), ErrorKind::kCancelled);
-    EXPECT_EQ(e.stage(), "average_case");
-  }
-}
-
-TEST(Procedure1Resume, ValidatesTheCheckpoint) {
-  const Circuit circuit = paper_example();
-  const ThreadPool pool(2);
-  const DetectionDb db = DetectionDb::build(circuit, {}, pool);
-  std::vector<std::size_t> all(db.untargeted().size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  const Procedure1Config config = resume_config(DetectionDefinition::kStandard);
-
-  CancelToken fired;
-  fired.cancel();
-  Procedure1Partial partial =
-      run_procedure1_resumable(db, all, config, pool, &fired);
-  ASSERT_FALSE(partial.complete);
-
-  const auto expect_invalid = [&](const Procedure1Config& cfg,
-                                  std::span<const std::size_t> monitored,
-                                  const Procedure1Checkpoint& checkpoint) {
-    try {
-      (void)run_procedure1_resumable(db, monitored, cfg, pool, nullptr,
-                                     &checkpoint);
-      FAIL() << "expected Error{kInvalidInput}";
-    } catch (const Error& e) {
-      EXPECT_EQ(e.kind(), ErrorKind::kInvalidInput);
-    }
-  };
-
-  Procedure1Config other_seed = config;
-  other_seed.seed = 7;
-  expect_invalid(other_seed, all, partial.checkpoint);
-
-  Procedure1Config other_nmax = config;
-  other_nmax.nmax = config.nmax + 1;
-  expect_invalid(other_nmax, all, partial.checkpoint);
-
-  std::vector<std::size_t> fewer(all.begin(), all.end() - 1);
-  expect_invalid(config, fewer, partial.checkpoint);
-
-  Procedure1Checkpoint truncated = partial.checkpoint;
-  truncated.sets.pop_back();
-  expect_invalid(config, all, truncated);
 }
 
 }  // namespace

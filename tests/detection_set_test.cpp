@@ -28,6 +28,7 @@
 namespace ndet {
 namespace {
 
+using testing::shared_pool;
 using testing::to_vector;
 
 /// Random subset of a `universe`-element space with ~density/1000 fill.
@@ -190,7 +191,8 @@ TEST(AnalysisEngine, MatchesSerialDenseBaselineAcrossPoliciesThreadsAndSimd) {
 
     DetectionDbOptions dense_options;
     dense_options.representation = SetRepresentation::kDense;
-    const DetectionDb dense_db = DetectionDb::build(circuit, dense_options);
+    const DetectionDb dense_db =
+        DetectionDb::build(circuit, dense_options, shared_pool());
     const std::vector<std::uint64_t> baseline = baseline_nmin(dense_db);
 
     for (const SetRepresentation policy :
@@ -198,12 +200,13 @@ TEST(AnalysisEngine, MatchesSerialDenseBaselineAcrossPoliciesThreadsAndSimd) {
           SetRepresentation::kSparse}) {
       DetectionDbOptions options;
       options.representation = policy;
-      const DetectionDb db = DetectionDb::build(circuit, options);
+      const DetectionDb db =
+          DetectionDb::build(circuit, options, shared_pool());
       for (const simd::Level level : levels) {
         const ScopedSimdLevel scope(level);
         for (const unsigned threads : {1u, 2u, 8u}) {
           const WorstCaseResult worst =
-              analyze_worst_case(db, {.num_threads = threads});
+              analyze_worst_case(db, ThreadPool(threads));
           ASSERT_EQ(worst.nmin, baseline)
               << info.name << " policy " << static_cast<int>(policy)
               << " threads " << threads << " simd "
@@ -220,7 +223,7 @@ TEST(AnalysisEngine, AdaptiveRepresentationShrinksTheDatabase) {
   // bbara's bridging sets are mostly a handful of vectors over a 2^8
   // universe: the adaptive policy must beat all-dense storage.
   const Circuit circuit = fsm_benchmark_circuit("bbara");
-  const DetectionDb db = DetectionDb::build(circuit);
+  const DetectionDb db = DetectionDb::build(circuit, {}, shared_pool());
   EXPECT_EQ(db.representation(), SetRepresentation::kAdaptive);
   EXPECT_LT(db.set_memory_bytes(), db.dense_memory_bytes());
 }

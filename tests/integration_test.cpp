@@ -12,18 +12,21 @@
 #include "core/worst_case.hpp"
 #include "fsm/benchmarks.hpp"
 #include "netlist/stats.hpp"
+#include "test_util.hpp"
 
 namespace ndet {
 namespace {
+
+using testing::shared_pool;
 
 class PipelineTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(PipelineTest, WorstAndAverageCaseAgree) {
   const Circuit circuit = fsm_benchmark_circuit(GetParam());
-  const DetectionDb db = DetectionDb::build(circuit);
+  const DetectionDb db = DetectionDb::build(circuit, {}, shared_pool());
   ASSERT_GT(db.untargeted().size(), 0u) << GetParam();
 
-  const WorstCaseResult worst = analyze_worst_case(db);
+  const WorstCaseResult worst = analyze_worst_case(db, shared_pool());
   ASSERT_EQ(worst.nmin.size(), db.untargeted().size());
 
   // Every detectable bridging fault needs at least one detection; a finite
@@ -42,7 +45,8 @@ TEST_P(PipelineTest, WorstAndAverageCaseAgree) {
   config.nmax = 5;
   config.num_sets = 20;
   config.seed = 42;
-  const AverageCaseResult avg = run_procedure1(db, monitored, config);
+  const AverageCaseResult avg =
+      run_procedure1(db, monitored, config, shared_pool());
 
   for (std::size_t j = 0; j < monitored.size(); ++j) {
     for (int n = 1; n <= config.nmax; ++n) {
@@ -57,8 +61,8 @@ TEST_P(PipelineTest, WorstAndAverageCaseAgree) {
 
 TEST_P(PipelineTest, CumulativeCoverageIsMonotone) {
   const Circuit circuit = fsm_benchmark_circuit(GetParam());
-  const DetectionDb db = DetectionDb::build(circuit);
-  const WorstCaseResult worst = analyze_worst_case(db);
+  const DetectionDb db = DetectionDb::build(circuit, {}, shared_pool());
+  const WorstCaseResult worst = analyze_worst_case(db, shared_pool());
   double previous = 0.0;
   for (const std::uint64_t n : {1, 2, 3, 4, 5, 10, 100}) {
     const double fraction = worst.fraction_at_most(n);
@@ -74,8 +78,8 @@ INSTANTIATE_TEST_SUITE_P(SmallSuite, PipelineTest,
 
 TEST(Pipeline, Table2And3RowsAreConsistent) {
   const Circuit circuit = fsm_benchmark_circuit("bbtas");
-  const DetectionDb db = DetectionDb::build(circuit);
-  const WorstCaseResult worst = analyze_worst_case(db);
+  const DetectionDb db = DetectionDb::build(circuit, {}, shared_pool());
+  const WorstCaseResult worst = analyze_worst_case(db, shared_pool());
   const Table2Row t2 = make_table2_row("bbtas", worst);
   const Table3Row t3 = make_table3_row("bbtas", worst);
   EXPECT_EQ(t2.fault_count, t3.fault_count);
@@ -87,8 +91,8 @@ TEST(Pipeline, Table2And3RowsAreConsistent) {
 
 TEST(Pipeline, MonitoredSetForTable5MatchesWorstCase) {
   const Circuit circuit = fsm_benchmark_circuit("beecount");
-  const DetectionDb db = DetectionDb::build(circuit);
-  const WorstCaseResult worst = analyze_worst_case(db);
+  const DetectionDb db = DetectionDb::build(circuit, {}, shared_pool());
+  const WorstCaseResult worst = analyze_worst_case(db, shared_pool());
   const auto monitored = worst.indices_at_least(11);
   // Whatever the exact tail is, each monitored fault must be detectable and
   // not guaranteed at n = 10.
@@ -110,8 +114,8 @@ TEST(Pipeline, EncodingChangesCircuitButAnalysisStillRuns) {
   for (const StateEncoding enc :
        {StateEncoding::kBinary, StateEncoding::kGray}) {
     const Circuit circuit = fsm_benchmark_circuit("dk27", enc);
-    const DetectionDb db = DetectionDb::build(circuit);
-    const WorstCaseResult worst = analyze_worst_case(db);
+    const DetectionDb db = DetectionDb::build(circuit, {}, shared_pool());
+    const WorstCaseResult worst = analyze_worst_case(db, shared_pool());
     EXPECT_GT(worst.nmin.size(), 0u);
   }
 }

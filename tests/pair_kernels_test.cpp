@@ -12,10 +12,10 @@
 //      and of the 256-bit vector width), empty sets, every batch width,
 //      adversarial tile geometries, and every available dispatch level.
 //
-// NDET_SIMD_LEVEL / NDET_FORCE_PORTABLE coverage: the resolution rule is
-// unit-tested directly (resolve_level), and the CI sanitize job runs this
-// whole suite with portable pinned, in which case level_available(kAvx2)
-// is false and the vector legs legitimately skip.
+// NDET_SIMD_LEVEL coverage: the resolution rule is unit-tested directly
+// (resolve_level), and the CI sanitize job runs this whole suite with
+// portable pinned, in which case level_available(kAvx2) is false and the
+// vector legs legitimately skip.
 
 #include <gtest/gtest.h>
 
@@ -39,6 +39,7 @@ namespace ndet {
 namespace {
 
 using testing::ScopedSimdLevel;
+using testing::shared_pool;
 
 std::vector<simd::Level> available_levels() {
   std::vector<simd::Level> levels = {simd::Level::kPortable};
@@ -68,23 +69,6 @@ simd::Level best_auto(bool cpu_avx2, bool cpu_avx512) {
   return Level::kPortable;
 }
 
-TEST(Simd, ResolveLevelLegacyForcePortableAlias) {
-  using simd::Level;
-  // NDET_FORCE_PORTABLE alone: any non-empty value other than "0" pins
-  // portable; empty and "0" count as unset.
-  EXPECT_EQ(simd::resolve_level(nullptr, "1", true, true), Level::kPortable);
-  EXPECT_EQ(simd::resolve_level(nullptr, "yes", true, true), Level::kPortable);
-  EXPECT_EQ(simd::resolve_level(nullptr, "", true, true),
-            best_auto(true, true));
-  EXPECT_EQ(simd::resolve_level(nullptr, "0", true, true),
-            best_auto(true, true));
-  EXPECT_EQ(simd::resolve_level(nullptr, nullptr, true, true),
-            best_auto(true, true));
-  EXPECT_EQ(simd::resolve_level(nullptr, nullptr, false, false),
-            best_auto(false, false));
-  EXPECT_EQ(simd::resolve_level(nullptr, "1", false, false), Level::kPortable);
-}
-
 TEST(Simd, ResolveLevelSelectorRequestsAndDegradation) {
   using simd::Level;
   const bool avx2 = simd::compiled_with_avx2();
@@ -92,34 +76,29 @@ TEST(Simd, ResolveLevelSelectorRequestsAndDegradation) {
   const bool neon = simd::compiled_with_neon();
 
   // Explicit requests resolve to the level when runnable...
-  EXPECT_EQ(simd::resolve_level("portable", nullptr, true, true),
-            Level::kPortable);
-  EXPECT_EQ(simd::resolve_level("avx2", nullptr, true, true),
+  EXPECT_EQ(simd::resolve_level("portable", true, true), Level::kPortable);
+  EXPECT_EQ(simd::resolve_level("avx2", true, true),
             avx2 ? Level::kAvx2 : Level::kPortable);
-  EXPECT_EQ(simd::resolve_level("avx512", nullptr, true, true),
+  EXPECT_EQ(simd::resolve_level("avx512", true, true),
             avx512 ? Level::kAvx512
                    : (avx2 ? Level::kAvx2 : Level::kPortable));
-  EXPECT_EQ(simd::resolve_level("neon", nullptr, true, true),
+  EXPECT_EQ(simd::resolve_level("neon", true, true),
             neon ? Level::kNeon : Level::kPortable);
 
   // ...and degrade gracefully when the CPU (or build) cannot run them.
-  EXPECT_EQ(simd::resolve_level("avx512", nullptr, true, false),
+  EXPECT_EQ(simd::resolve_level("avx512", true, false),
             avx2 ? Level::kAvx2 : Level::kPortable);
-  EXPECT_EQ(simd::resolve_level("avx512", nullptr, false, false),
-            Level::kPortable);
-  EXPECT_EQ(simd::resolve_level("avx2", nullptr, false, false),
-            Level::kPortable);
+  EXPECT_EQ(simd::resolve_level("avx512", false, false), Level::kPortable);
+  EXPECT_EQ(simd::resolve_level("avx2", false, false), Level::kPortable);
 
-  // The selector wins over the legacy alias when it decides; an empty or
-  // unrecognized selector falls through to the alias / auto rule.
-  EXPECT_EQ(simd::resolve_level("avx2", "1", true, true),
-            avx2 ? Level::kAvx2 : Level::kPortable);
-  EXPECT_EQ(simd::resolve_level("portable", "0", true, true),
-            Level::kPortable);
-  EXPECT_EQ(simd::resolve_level("", "1", true, true), Level::kPortable);
-  EXPECT_EQ(simd::resolve_level("bogus", nullptr, true, true),
-            best_auto(true, true));
-  EXPECT_EQ(simd::resolve_level("bogus", "1", true, true), Level::kPortable);
+  // An unset, empty or unrecognized selector falls through to the auto
+  // rule: the widest tier this build/CPU supports.
+  const char* const fall_through[] = {nullptr, "", "bogus"};
+  for (const char* selector : fall_through) {
+    EXPECT_EQ(simd::resolve_level(selector, true, true), best_auto(true, true));
+    EXPECT_EQ(simd::resolve_level(selector, false, false),
+              best_auto(false, false));
+  }
 }
 
 TEST(Simd, PortableAlwaysAvailableAndActiveLevelRuns) {
@@ -406,7 +385,8 @@ TEST(PairKernels, UniverseMismatchThrows) {
 // --- overlap_entries through the engine -------------------------------------
 
 TEST(OverlapEntries, MatchesScalarReferenceAndPoolOverload) {
-  const DetectionDb db = DetectionDb::build(paper_example());
+  const DetectionDb db =
+      DetectionDb::build(paper_example(), {}, shared_pool());
   for (std::size_t j = 0; j < db.untargeted().size(); ++j) {
     // The pre-engine reference: a serial per-pair scan in target order.
     std::vector<OverlapEntry> expected;
@@ -425,10 +405,8 @@ TEST(OverlapEntries, MatchesScalarReferenceAndPoolOverload) {
         EXPECT_EQ(entries[e].nmin_gf, expected[e].nmin_gf);
       }
     };
-    check(overlap_entries(db, j));
-    check(overlap_entries(db, j, AnalysisOptions{.num_threads = 2}));
-    const ThreadPool pool(3);
-    check(overlap_entries(db, j, pool));
+    for (const unsigned threads : {0u, 1u, 2u, 3u})
+      check(overlap_entries(db, j, ThreadPool(threads)));
   }
 }
 

@@ -5,10 +5,13 @@
 #include "core/partition.hpp"
 #include "netlist/library.hpp"
 #include "sim/exhaustive.hpp"
+#include "test_util.hpp"
 #include "util/check.hpp"
 
 namespace ndet {
 namespace {
+
+using testing::shared_pool;
 
 TEST(ExtractCone, PreservesFunctionOfSelectedOutputs) {
   const Circuit c = ripple_adder(3);
@@ -94,7 +97,8 @@ TEST(Partition, ThrowsWhenOneOutputExceedsBudget) {
 
 TEST(Partition, WorstCasePerConeRuns) {
   const Circuit c = tri_majority();
-  const auto reports = partitioned_worst_case(c, 3);
+  const auto reports = partitioned_worst_case(
+      c, PartitionOptions{.max_inputs = 3}, shared_pool());
   EXPECT_EQ(reports.size(), 3u);
   for (const auto& report : reports) {
     EXPECT_LE(report.inputs, 3u);
@@ -108,10 +112,11 @@ TEST(Partition, ConeAnalysisAgreesWithWholeCircuitWhenSupportsMatch) {
   // The paper example fits in one cone; partitioned analysis must equal the
   // whole-circuit analysis.
   const Circuit c = paper_example();
-  const auto reports = partitioned_worst_case(c, 4);
+  const auto reports = partitioned_worst_case(
+      c, PartitionOptions{.max_inputs = 4}, shared_pool());
   ASSERT_EQ(reports.size(), 1u);
-  const DetectionDb db = DetectionDb::build(c);
-  const WorstCaseResult worst = analyze_worst_case(db);
+  const DetectionDb db = DetectionDb::build(c, {}, shared_pool());
+  const WorstCaseResult worst = analyze_worst_case(db, shared_pool());
   EXPECT_EQ(reports[0].untargeted_faults, db.untargeted().size());
   EXPECT_DOUBLE_EQ(reports[0].fraction_nmin_at_most_10,
                    worst.fraction_at_most(10));

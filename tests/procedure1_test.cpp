@@ -21,8 +21,11 @@
 namespace ndet {
 namespace {
 
+using testing::shared_pool;
+
 const DetectionDb& paper_db() {
-  static const DetectionDb db = DetectionDb::build(paper_example());
+  static const DetectionDb db =
+      DetectionDb::build(paper_example(), {}, shared_pool());
   return db;
 }
 
@@ -49,7 +52,8 @@ TEST(Procedure1, EverySetIsAnNDetectionTestSet) {
   config.seed = 11;
   config.keep_test_sets = true;
   const auto monitored = all_monitored(db);
-  const AverageCaseResult result = run_procedure1(db, monitored, config);
+  const AverageCaseResult result =
+      run_procedure1(db, monitored, config, shared_pool());
 
   for (int n = 1; n <= config.nmax; ++n) {
     const auto& snapshot = result.test_sets[static_cast<std::size_t>(n - 1)];
@@ -73,7 +77,8 @@ TEST(Procedure1, TestSetsContainNoDuplicates) {
   config.num_sets = 10;
   config.keep_test_sets = true;
   const auto monitored = all_monitored(db);
-  const AverageCaseResult result = run_procedure1(db, monitored, config);
+  const AverageCaseResult result =
+      run_procedure1(db, monitored, config, shared_pool());
   for (const auto& tests : result.test_sets.back()) {
     std::set<std::uint32_t> unique(tests.begin(), tests.end());
     EXPECT_EQ(unique.size(), tests.size());
@@ -88,12 +93,15 @@ TEST(Procedure1, DeterministicInSeed) {
   config.seed = 77;
   config.keep_test_sets = true;
   const auto monitored = all_monitored(db);
-  const AverageCaseResult a = run_procedure1(db, monitored, config);
-  const AverageCaseResult b = run_procedure1(db, monitored, config);
+  const AverageCaseResult a =
+      run_procedure1(db, monitored, config, shared_pool());
+  const AverageCaseResult b =
+      run_procedure1(db, monitored, config, shared_pool());
   EXPECT_EQ(a.test_sets.back(), b.test_sets.back());
   EXPECT_EQ(a.detect_count, b.detect_count);
   config.seed = 78;
-  const AverageCaseResult c = run_procedure1(db, monitored, config);
+  const AverageCaseResult c =
+      run_procedure1(db, monitored, config, shared_pool());
   EXPECT_NE(a.test_sets.back(), c.test_sets.back());
 }
 
@@ -104,7 +112,8 @@ TEST(Procedure1, DetectionCountsAreMonotoneInN) {
   config.nmax = 5;
   config.num_sets = 40;
   const auto monitored = all_monitored(db);
-  const AverageCaseResult result = run_procedure1(db, monitored, config);
+  const AverageCaseResult result =
+      run_procedure1(db, monitored, config, shared_pool());
   for (std::size_t j = 0; j < monitored.size(); ++j)
     for (int n = 2; n <= config.nmax; ++n)
       EXPECT_GE(result.detect_count[static_cast<std::size_t>(n - 1)][j],
@@ -115,13 +124,14 @@ TEST(Procedure1, GuaranteeCrossCheckWithWorstCase) {
   // The paper's central invariant: an untargeted fault with nmin(g) <= n is
   // detected by EVERY n-detection test set, i.e. p(n,g) = 1.
   const DetectionDb& db = paper_db();
-  const WorstCaseResult worst = analyze_worst_case(db);
+  const WorstCaseResult worst = analyze_worst_case(db, shared_pool());
   Procedure1Config config;
   config.nmax = 5;
   config.num_sets = 60;
   config.seed = 3;
   const auto monitored = all_monitored(db);
-  const AverageCaseResult result = run_procedure1(db, monitored, config);
+  const AverageCaseResult result =
+      run_procedure1(db, monitored, config, shared_pool());
   for (std::size_t j = 0; j < monitored.size(); ++j) {
     for (int n = 1; n <= config.nmax; ++n) {
       if (worst.nmin[j] <= static_cast<std::uint64_t>(n)) {
@@ -138,7 +148,8 @@ TEST(Procedure1, ProbabilitiesAreWithinRange) {
   config.nmax = 3;
   config.num_sets = 30;
   const auto monitored = all_monitored(db);
-  const AverageCaseResult result = run_procedure1(db, monitored, config);
+  const AverageCaseResult result =
+      run_procedure1(db, monitored, config, shared_pool());
   for (int n = 1; n <= config.nmax; ++n)
     for (std::size_t j = 0; j < monitored.size(); ++j) {
       const double p = result.probability(n, j);
@@ -153,7 +164,8 @@ TEST(Procedure1, SetSizesGrowWithN) {
   config.nmax = 4;
   config.num_sets = 12;
   const auto monitored = all_monitored(db);
-  const AverageCaseResult result = run_procedure1(db, monitored, config);
+  const AverageCaseResult result =
+      run_procedure1(db, monitored, config, shared_pool());
   for (std::size_t k = 0; k < config.num_sets; ++k)
     for (int n = 2; n <= config.nmax; ++n)
       EXPECT_GE(result.set_sizes[static_cast<std::size_t>(n - 1)][k],
@@ -166,7 +178,8 @@ TEST(Procedure1, ThresholdCountsAreCumulative) {
   config.nmax = 2;
   config.num_sets = 20;
   const auto monitored = all_monitored(db);
-  const AverageCaseResult result = run_procedure1(db, monitored, config);
+  const AverageCaseResult result =
+      run_procedure1(db, monitored, config, shared_pool());
   std::size_t previous = 0;
   for (const double threshold : {1.0, 0.9, 0.5, 0.1, 0.0}) {
     const std::size_t count = result.count_probability_at_least(2, threshold);
@@ -182,7 +195,8 @@ TEST(Procedure1, MonitoredSubsetOnly) {
   config.nmax = 2;
   config.num_sets = 5;
   const std::vector<std::size_t> monitored{5, 6};  // the two nmin=4 faults
-  const AverageCaseResult result = run_procedure1(db, monitored, config);
+  const AverageCaseResult result =
+      run_procedure1(db, monitored, config, shared_pool());
   EXPECT_EQ(result.monitored, monitored);
   EXPECT_EQ(result.detect_count[0].size(), 2u);
 }
@@ -191,13 +205,16 @@ TEST(Procedure1, InvalidArgumentsThrow) {
   const DetectionDb& db = paper_db();
   Procedure1Config config;
   config.nmax = 0;
-  EXPECT_THROW((void)run_procedure1(db, {}, config), contract_error);
+  EXPECT_THROW((void)run_procedure1(db, {}, config, shared_pool()),
+               contract_error);
   config = Procedure1Config{};
   config.num_sets = 0;
-  EXPECT_THROW((void)run_procedure1(db, {}, config), contract_error);
+  EXPECT_THROW((void)run_procedure1(db, {}, config, shared_pool()),
+               contract_error);
   config = Procedure1Config{};
   const std::vector<std::size_t> bad{99};
-  EXPECT_THROW((void)run_procedure1(db, bad, config), contract_error);
+  EXPECT_THROW((void)run_procedure1(db, bad, config, shared_pool()),
+               contract_error);
 }
 
 // --- Definition 2 -----------------------------------------------------------
@@ -212,7 +229,8 @@ TEST(Procedure1Def2, SetsRemainNDetectionUnderDefinitionOne) {
   config.definition = DetectionDefinition::kDissimilar;
   config.keep_test_sets = true;
   const auto monitored = all_monitored(db);
-  const AverageCaseResult result = run_procedure1(db, monitored, config);
+  const AverageCaseResult result =
+      run_procedure1(db, monitored, config, shared_pool());
   for (const auto& tests : result.test_sets.back()) {
     for (std::size_t i = 0; i < db.targets().size(); ++i) {
       const std::size_t available = db.target_sets()[i].count();
@@ -227,13 +245,14 @@ TEST(Procedure1Def2, SetsRemainNDetectionUnderDefinitionOne) {
 
 TEST(Procedure1Def2, GuaranteeCrossCheckStillHolds) {
   const DetectionDb& db = paper_db();
-  const WorstCaseResult worst = analyze_worst_case(db);
+  const WorstCaseResult worst = analyze_worst_case(db, shared_pool());
   Procedure1Config config;
   config.nmax = 4;
   config.num_sets = 30;
   config.definition = DetectionDefinition::kDissimilar;
   const auto monitored = all_monitored(db);
-  const AverageCaseResult result = run_procedure1(db, monitored, config);
+  const AverageCaseResult result =
+      run_procedure1(db, monitored, config, shared_pool());
   for (std::size_t j = 0; j < monitored.size(); ++j) {
     if (worst.nmin[j] <= 4u) {
       EXPECT_DOUBLE_EQ(result.probability(4, j), 1.0) << "g" << j;
@@ -249,8 +268,10 @@ TEST(Procedure1Def2, DeterministicInSeed) {
   config.definition = DetectionDefinition::kDissimilar;
   config.keep_test_sets = true;
   const auto monitored = all_monitored(db);
-  const AverageCaseResult a = run_procedure1(db, monitored, config);
-  const AverageCaseResult b = run_procedure1(db, monitored, config);
+  const AverageCaseResult a =
+      run_procedure1(db, monitored, config, shared_pool());
+  const AverageCaseResult b =
+      run_procedure1(db, monitored, config, shared_pool());
   EXPECT_EQ(a.test_sets.back(), b.test_sets.back());
 }
 
@@ -265,9 +286,11 @@ TEST(Procedure1Def2, TendsToSpreadTests) {
   config.nmax = 2;
   config.num_sets = 200;
   config.seed = 5;
-  const AverageCaseResult def1 = run_procedure1(db, monitored, config);
+  const AverageCaseResult def1 =
+      run_procedure1(db, monitored, config, shared_pool());
   config.definition = DetectionDefinition::kDissimilar;
-  const AverageCaseResult def2 = run_procedure1(db, monitored, config);
+  const AverageCaseResult def2 =
+      run_procedure1(db, monitored, config, shared_pool());
   EXPECT_GE(def2.probability(2, 0) + 0.05, def1.probability(2, 0));
 }
 
@@ -287,18 +310,18 @@ void expect_identical_runs(const AverageCaseResult& a,
   EXPECT_EQ(a.stats.distinct_queries, b.stats.distinct_queries);
 }
 
-/// Runs the serial engine (num_threads = 1: one worker on the calling
+/// Runs the serial engine (a one-thread pool: one worker on the calling
 /// thread) and compares hardware-width (0) and 2/8-thread runs against it
 /// bit for bit.
 void check_thread_invariance(const DetectionDb& db,
                              std::span<const std::size_t> monitored,
                              Procedure1Config config) {
   config.keep_test_sets = true;
-  config.num_threads = 1;
-  const AverageCaseResult serial = run_procedure1(db, monitored, config);
+  const AverageCaseResult serial =
+      run_procedure1(db, monitored, config, ThreadPool(1));
   for (const unsigned threads : {0u, 2u, 8u}) {
-    config.num_threads = threads;
-    const AverageCaseResult parallel = run_procedure1(db, monitored, config);
+    const AverageCaseResult parallel =
+        run_procedure1(db, monitored, config, ThreadPool(threads));
     SCOPED_TRACE("threads=" + std::to_string(threads));
     expect_identical_runs(serial, parallel);
   }
@@ -326,7 +349,8 @@ TEST(Procedure1Parallel, BitIdenticalAcrossThreadCountsDefinition2) {
 TEST(Procedure1Parallel, BitIdenticalOnFsmSuiteDefinition1) {
   for (const char* name : {"bbtas", "dk27", "beecount"}) {
     SCOPED_TRACE(name);
-    const DetectionDb db = DetectionDb::build(fsm_benchmark_circuit(name));
+    const DetectionDb db =
+        DetectionDb::build(fsm_benchmark_circuit(name), {}, shared_pool());
     Procedure1Config config;
     config.nmax = 3;
     config.num_sets = 10;
@@ -336,7 +360,8 @@ TEST(Procedure1Parallel, BitIdenticalOnFsmSuiteDefinition1) {
 }
 
 TEST(Procedure1Parallel, BitIdenticalOnFsmSuiteDefinition2) {
-  const DetectionDb db = DetectionDb::build(fsm_benchmark_circuit("bbtas"));
+  const DetectionDb db =
+      DetectionDb::build(fsm_benchmark_circuit("bbtas"), {}, shared_pool());
   Procedure1Config config;
   config.nmax = 3;
   config.num_sets = 8;
@@ -368,17 +393,17 @@ void check_batch_and_level_invariance(const DetectionDb& db,
                                       Procedure1Config config) {
   const simd::Level original = simd::active_level();
   config.keep_test_sets = true;
-  config.num_threads = 1;
   config.batch_width = 1;
-  const AverageCaseResult serial = run_procedure1(db, monitored, config);
+  const AverageCaseResult serial =
+      run_procedure1(db, monitored, config, ThreadPool(1));
   for (const simd::Level level : runnable_levels()) {
     simd::set_level_for_testing(level);
     for (const std::size_t width : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}, std::size_t{0}}) {
       for (const unsigned threads : {1u, 0u, 2u, 8u}) {
         config.batch_width = width;
-        config.num_threads = threads;
-        const AverageCaseResult run = run_procedure1(db, monitored, config);
+        const AverageCaseResult run =
+            run_procedure1(db, monitored, config, ThreadPool(threads));
         SCOPED_TRACE(std::string("level=") + simd::level_name(level) +
                      " width=" + std::to_string(width) +
                      " threads=" + std::to_string(threads));
@@ -409,7 +434,8 @@ TEST(Procedure1Batched, BitIdenticalAcrossWidthsThreadsAndLevelsDefinition2) {
 }
 
 TEST(Procedure1Batched, BitIdenticalOnFsmCircuit) {
-  const DetectionDb db = DetectionDb::build(fsm_benchmark_circuit("bbtas"));
+  const DetectionDb db =
+      DetectionDb::build(fsm_benchmark_circuit("bbtas"), {}, shared_pool());
   Procedure1Config config;
   config.nmax = 3;
   config.num_sets = 8;
@@ -427,8 +453,8 @@ TEST(Procedure1Parallel, Def2CacheStatsAccountForEveryQuery) {
   config.num_sets = 12;
   config.definition = DetectionDefinition::kDissimilar;
   for (const unsigned threads : {0u, 2u, 8u}) {
-    config.num_threads = threads;
-    const AverageCaseResult result = run_procedure1(db, monitored, config);
+    const AverageCaseResult result =
+        run_procedure1(db, monitored, config, ThreadPool(threads));
     EXPECT_EQ(result.def2_cache.verdict_hits + result.def2_cache.verdict_misses,
               result.stats.distinct_queries)
         << "threads=" << threads;
@@ -442,7 +468,8 @@ TEST(Procedure1Parallel, Definition1LeavesCacheStatsEmpty) {
   config.nmax = 2;
   config.num_sets = 4;
   const auto monitored = all_monitored(db);
-  const AverageCaseResult result = run_procedure1(db, monitored, config);
+  const AverageCaseResult result =
+      run_procedure1(db, monitored, config, shared_pool());
   EXPECT_EQ(result.def2_cache.good_sim_entries, 0u);
   EXPECT_EQ(result.def2_cache.verdict_hits, 0u);
   EXPECT_EQ(result.def2_cache.verdict_misses, 0u);
@@ -456,7 +483,8 @@ TEST(Escape, ComputesExpectedEscapes) {
   config.nmax = 2;
   config.num_sets = 50;
   const auto monitored = all_monitored(db);
-  const AverageCaseResult result = run_procedure1(db, monitored, config);
+  const AverageCaseResult result =
+      run_procedure1(db, monitored, config, shared_pool());
   const EscapeReport report = compute_escape_report(result, 2);
   EXPECT_EQ(report.monitored_faults, monitored.size());
   EXPECT_GE(report.expected_escapes, 0.0);
@@ -476,7 +504,8 @@ TEST(Escape, AllDetectedMeansNoEscapes) {
   config.nmax = 4;
   config.num_sets = 30;
   const auto monitored = all_monitored(db);
-  const AverageCaseResult result = run_procedure1(db, monitored, config);
+  const AverageCaseResult result =
+      run_procedure1(db, monitored, config, shared_pool());
   const EscapeReport report = compute_escape_report(result, 4);
   EXPECT_DOUBLE_EQ(report.expected_escapes, 0.0);
   EXPECT_DOUBLE_EQ(report.prob_any_escape, 0.0);
@@ -488,7 +517,8 @@ TEST(Escape, EmptyMonitoredSet) {
   Procedure1Config config;
   config.nmax = 1;
   config.num_sets = 3;
-  const AverageCaseResult result = run_procedure1(db, {}, config);
+  const AverageCaseResult result =
+      run_procedure1(db, {}, config, shared_pool());
   const EscapeReport report = compute_escape_report(result, 1);
   EXPECT_DOUBLE_EQ(report.prob_any_escape, 0.0);
   EXPECT_DOUBLE_EQ(report.expected_escapes, 0.0);

@@ -127,6 +127,23 @@ TEST(SessionCache, PinnedEntriesSurviveEviction) {
   EXPECT_GT(cache.stats().bytes, 1u);
 }
 
+TEST(SessionCache, OversizedEntryLeavesWhenItsLeaseIsReleased) {
+  SessionCache cache(/*budget_bytes=*/1, single_thread());
+  {
+    SessionCache::Lease lease = cache.acquire(CacheKey{"bbtas"});
+    (void)lease.session().worst_case();
+    cache.update(lease);  // over budget, but the lease pins the entry
+    EXPECT_TRUE(cache.contains(CacheKey{"bbtas"}));
+  }
+  // Dropping the last pin re-runs eviction: nothing stays resident past
+  // the budget once no request needs it.
+  EXPECT_FALSE(cache.contains(CacheKey{"bbtas"}));
+  const SessionCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.bytes, 0u);
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.evictions, 1u);
+}
+
 TEST(SessionCache, EvictedThenReusedRebuildsBitIdentical) {
   const std::string direct = [] {
     AnalysisSession session("bbtas", single_thread());

@@ -51,20 +51,15 @@ TEST(AnalysisSession, BitIdenticalToDirectCallsAcrossThreadCounts) {
   for (const char* name : {"bbtas", "dk27"}) {
     SCOPED_TRACE(name);
     const Circuit circuit = fsm_benchmark_circuit(name);
-    const DetectionDb db = DetectionDb::build(circuit, {.num_threads = 1});
-    const WorstCaseResult worst = analyze_worst_case(db, {.num_threads = 1});
+    const ThreadPool serial(1);
+    const DetectionDb db = DetectionDb::build(circuit, {}, serial);
+    const WorstCaseResult worst = analyze_worst_case(db, serial);
 
     Procedure1Request request = small_request();
     std::vector<std::size_t> all(db.untargeted().size());
     std::iota(all.begin(), all.end(), std::size_t{0});
     request.monitored = all;
-    Procedure1Config config;
-    config.nmax = request.nmax;
-    config.num_sets = request.num_sets;
-    config.seed = request.seed;
-    config.keep_test_sets = request.keep_test_sets;
-    config.num_threads = 1;
-    const AverageCaseResult avg = run_procedure1(db, all, config);
+    const AverageCaseResult avg = run_procedure1(db, all, request, serial);
 
     for (const unsigned threads : {1u, 2u, 8u}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -149,15 +144,16 @@ TEST(AnalysisSession, MonitoredMatchesWorstCaseTail) {
 TEST(AnalysisSession, PartitionedMatchesDirectCall) {
   const Circuit circuit = ripple_adder(3);
   AnalysisSession session(circuit, {.num_threads = 2});
-  const auto& reports = session.partitioned(7);
-  const auto direct = partitioned_worst_case(circuit, 7, {.num_threads = 1});
+  const PartitionOptions budget{.max_inputs = 7};
+  const auto& reports = session.partitioned(budget);
+  const auto direct = partitioned_worst_case(circuit, budget, ThreadPool(1));
   ASSERT_EQ(reports.size(), direct.size());
   for (std::size_t c = 0; c < reports.size(); ++c) {
     EXPECT_EQ(reports[c].cone_name, direct[c].cone_name);
     EXPECT_EQ(reports[c].untargeted_faults, direct[c].untargeted_faults);
     EXPECT_EQ(reports[c].max_finite_nmin, direct[c].max_finite_nmin);
   }
-  EXPECT_EQ(&session.partitioned(7), &reports);
+  EXPECT_EQ(&session.partitioned(budget), &reports);
   EXPECT_EQ(session.stats().partitioned_hits, 1u);
 }
 
@@ -235,12 +231,8 @@ TEST(RunBatch, PerRequestDeadlineChainsUnderBatchToken) {
 // --- Thread-count convention ------------------------------------------------
 
 TEST(ThreadConvention, ZeroMeansAllHardwareEverywhere) {
-  // The repository-wide convention after the unification: 0 resolves to
-  // every hardware thread in every option struct, including Procedure1Config
-  // (whose default used to be hardware_concurrency directly).
-  EXPECT_EQ(Procedure1Config{}.num_threads, 0u);
-  EXPECT_EQ(DetectionDbOptions{}.num_threads, 0u);
-  EXPECT_EQ(AnalysisOptions{}.num_threads, 0u);
+  // SessionOptions::num_threads is the one thread knob (every stage runs on
+  // a caller-owned pool); its default 0 resolves to every hardware thread.
   EXPECT_EQ(SessionOptions{}.num_threads, 0u);
   EXPECT_GE(resolve_thread_count(0), 1u);
   EXPECT_EQ(ThreadPool(0).thread_count(), resolve_thread_count(0));

@@ -13,6 +13,7 @@
 #include "util/bitset.hpp"
 #include "util/detection_set.hpp"
 #include "util/simd.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ndet::testing {
 
@@ -28,6 +29,13 @@ class ScopedSimdLevel {
  private:
   simd::Level saved_;
 };
+
+/// An all-hardware-threads pool for tests that do not vary the pool width
+/// (ThreadPool is fork-join per call, so one shared instance is free).
+inline const ThreadPool& shared_pool() {
+  static const ThreadPool pool;
+  return pool;
+}
 
 /// Materializes a Bitset as a sorted vector of element ids.
 inline std::vector<std::uint64_t> to_vector(const Bitset& set) {

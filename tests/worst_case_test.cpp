@@ -15,12 +15,14 @@ namespace {
 using testing::paper_example_bridging_sets;
 using testing::paper_example_faults;
 using testing::paper_example_nmin;
+using testing::shared_pool;
 using testing::to_vector;
 
 class PaperDb : public ::testing::Test {
  protected:
   static const DetectionDb& db() {
-    static const DetectionDb instance = DetectionDb::build(paper_example());
+    static const DetectionDb instance =
+        DetectionDb::build(paper_example(), {}, shared_pool());
     return instance;
   }
 };
@@ -42,9 +44,9 @@ TEST_F(PaperDb, UntargetedKeepsOnlyDetectableFaults) {
 }
 
 TEST_F(PaperDb, Table1OverlapEntries) {
-  // Table 1 of the paper: faults overlapping T(g0) = {6,7}, with their
-  // N(f), M(g0,f) and nmin(g0,f).
-  const auto entries = overlap_entries(db(), 0);  // g0 is the first fault
+  // Table 1 of the paper: faults overlapping T(g0) = {6,7} (g0 is the
+  // first fault), with their N(f), M(g0,f) and nmin(g0,f).
+  const auto entries = overlap_entries(db(), 0, shared_pool());
   // Expected: (index, N, M, nmin): f0: 4,2,3; f1: 6,2,5; f3: 6,2,5;
   // f9: 4,1,4; f11: 12,2,11; f12: 4,2,3; f14: 12,2,11.
   struct Expected {
@@ -65,27 +67,27 @@ TEST_F(PaperDb, Table1OverlapEntries) {
 }
 
 TEST_F(PaperDb, NminMatchesHandComputedOracle) {
-  const WorstCaseResult worst = analyze_worst_case(db());
+  const WorstCaseResult worst = analyze_worst_case(db(), shared_pool());
   EXPECT_EQ(worst.nmin, paper_example_nmin());
 }
 
 TEST_F(PaperDb, NminG0IsThree) {
   // The paper: "Based on the information given in Table 1, nmin(g0) = 3."
-  const WorstCaseResult worst = analyze_worst_case(db());
+  const WorstCaseResult worst = analyze_worst_case(db(), shared_pool());
   EXPECT_EQ(worst.nmin[0], 3u);
 }
 
 TEST_F(PaperDb, NminG6IsFour) {
   // Section 3: "We consider the fault g6 with T(g6) = {12}.  For this
   // fault, nmin(g6) = 4."  After detectability filtering g6 sits at index 6.
-  const WorstCaseResult worst = analyze_worst_case(db());
+  const WorstCaseResult worst = analyze_worst_case(db(), shared_pool());
   EXPECT_EQ(to_vector(db().untargeted_sets()[6]),
             (std::vector<std::uint64_t>{12}));
   EXPECT_EQ(worst.nmin[6], 4u);
 }
 
 TEST_F(PaperDb, FractionsAndCounts) {
-  const WorstCaseResult worst = analyze_worst_case(db());
+  const WorstCaseResult worst = analyze_worst_case(db(), shared_pool());
   EXPECT_DOUBLE_EQ(worst.fraction_at_most(1), 0.4);
   EXPECT_DOUBLE_EQ(worst.fraction_at_most(2), 0.4);
   EXPECT_DOUBLE_EQ(worst.fraction_at_most(3), 0.8);
@@ -119,7 +121,7 @@ TEST(WorstCaseResult, CountAndIndicesAtLeastIncludeNeverGuaranteed) {
 }
 
 TEST_F(PaperDb, HistogramSumsToFaultCount) {
-  const WorstCaseResult worst = analyze_worst_case(db());
+  const WorstCaseResult worst = analyze_worst_case(db(), shared_pool());
   const auto histogram = worst.histogram();
   std::size_t total = 0;
   for (const auto& [value, count] : histogram) total += count;
@@ -162,7 +164,7 @@ TEST(NminOf, SubsetTargetGivesOne) {
 // for every target fault, min(n, N(f)) detections avoiding T(g) -- and for
 // n = nmin(g) one cannot.
 TEST_F(PaperDb, NminIsExactByBruteForceArgument) {
-  const WorstCaseResult worst = analyze_worst_case(db());
+  const WorstCaseResult worst = analyze_worst_case(db(), shared_pool());
   for (std::size_t j = 0; j < db().untargeted().size(); ++j) {
     const DetectionSet& tg = db().untargeted_sets()[j];
     const std::uint64_t nmin = worst.nmin[j];
@@ -192,7 +194,7 @@ TEST_F(PaperDb, NminIsExactByBruteForceArgument) {
 // --- Report rendering -------------------------------------------------------
 
 TEST_F(PaperDb, Table2RowRendersSaturation) {
-  const WorstCaseResult worst = analyze_worst_case(db());
+  const WorstCaseResult worst = analyze_worst_case(db(), shared_pool());
   const Table2Row row = make_table2_row("paper_example", worst);
   EXPECT_EQ(row.fault_count, 10u);
   EXPECT_DOUBLE_EQ(row.fraction[0], 0.4);
@@ -204,7 +206,7 @@ TEST_F(PaperDb, Table2RowRendersSaturation) {
 }
 
 TEST_F(PaperDb, Table3RowCounts) {
-  const WorstCaseResult worst = analyze_worst_case(db());
+  const WorstCaseResult worst = analyze_worst_case(db(), shared_pool());
   const Table3Row row = make_table3_row("paper_example", worst);
   EXPECT_EQ(row.count[0], 0u);   // >= 100
   EXPECT_EQ(row.count[1], 0u);   // >= 20
@@ -213,7 +215,7 @@ TEST_F(PaperDb, Table3RowCounts) {
 }
 
 TEST_F(PaperDb, Figure2HistogramRespectsCutoff) {
-  const WorstCaseResult worst = analyze_worst_case(db());
+  const WorstCaseResult worst = analyze_worst_case(db(), shared_pool());
   const auto all = figure2_histogram(worst, 1);
   std::size_t total = 0;
   for (const auto& [value, count] : all) total += count;
@@ -227,7 +229,7 @@ TEST_F(PaperDb, Figure2HistogramRespectsCutoff) {
 }
 
 TEST(DetectionDb, TransposeRoundTrips) {
-  const DetectionDb db = DetectionDb::build(c17());
+  const DetectionDb db = DetectionDb::build(c17(), {}, shared_pool());
   const auto rows =
       transpose_detection_sets(db.target_sets(), db.vector_count());
   ASSERT_EQ(rows.size(), db.vector_count());
@@ -239,8 +241,8 @@ TEST(DetectionDb, TransposeRoundTrips) {
 TEST(DetectionDb, C17HasNoBridgingTail) {
   // c17's NAND pairs are mostly connected; the analysis still runs and all
   // detectable bridging faults get a finite nmin.
-  const DetectionDb db = DetectionDb::build(c17());
-  const WorstCaseResult worst = analyze_worst_case(db);
+  const DetectionDb db = DetectionDb::build(c17(), {}, shared_pool());
+  const WorstCaseResult worst = analyze_worst_case(db, shared_pool());
   for (const auto v : worst.nmin) EXPECT_NE(v, kNeverGuaranteed);
 }
 
