@@ -11,8 +11,8 @@
 // measured fanin-cone overlap with --by-structure -- and every cone is
 // analyzed independently (cones shard across the session's worker pool).
 // --json= writes the per-cone reports plus session telemetry as one JSON
-// document; --dot= writes the whole circuit's netlist graph to <path> and
-// each cone's subgraph to <path-with-.coneN-inserted>.  --deadline-ms=
+// document; --dot= writes the whole circuit to <path> and each cone's
+// circuit to <path-with-.coneN-inserted>.  --deadline-ms=
 // bounds the whole run; exit codes follow run_cli (124 on a deadline or
 // cancel, 2 on invalid input, 1 on internal errors).
 
@@ -102,19 +102,13 @@ int main(int argc, char** argv) {
 
   if (args.has("dot")) {
     const std::string path = args.get("dot", "");
-    const NetlistGraph graph(session.circuit());
-    DotOptions dot_options;
-    dot_options.name = session.circuit().name();
-    write_dot_file(path, graph, dot_options);
+    write_dot_file(path, session.circuit());
     std::printf("\nwrote %s\n", path.c_str());
     const std::vector<Circuit> cones =
         partition_by_outputs(session.circuit(), partition);
     for (std::size_t c = 0; c < cones.size(); ++c) {
       const std::string cone_path = cone_dot_path(path, c);
-      const NetlistGraph cone_graph(cones[c]);
-      DotOptions cone_options;
-      cone_options.name = cones[c].name();
-      write_dot_file(cone_path, cone_graph, cone_options);
+      write_dot_file(cone_path, cones[c]);
       std::printf("wrote %s\n", cone_path.c_str());
     }
   }

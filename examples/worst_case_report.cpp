@@ -10,7 +10,7 @@
 // drill-down of the hardest faults with their limiting target faults.
 // --json= additionally writes the full result (nmin vector, summary
 // counters, session telemetry) as a JSON document; --dot= writes the
-// circuit's netlist graph in Graphviz DOT form.
+// circuit in Graphviz DOT form.
 //
 // --deadline-ms= bounds the whole run; exit codes follow run_cli: 124 on a
 // deadline/cancel, 2 on invalid input, 1 on internal errors.
@@ -99,10 +99,7 @@ int main(int argc, char** argv) {
   }
   if (args.has("dot")) {
     const std::string path = args.get("dot", "");
-    const NetlistGraph graph(session.circuit());
-    DotOptions dot_options;
-    dot_options.name = session.circuit().name();
-    write_dot_file(path, graph, dot_options);
+    write_dot_file(path, session.circuit());
     std::printf("\nwrote %s\n", path.c_str());
   }
   return 0;

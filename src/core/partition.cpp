@@ -187,22 +187,19 @@ std::vector<OutputGroup> group_outputs(const Circuit& circuit,
 
 std::vector<GateId> input_support(const Circuit& circuit,
                                   const std::vector<GateId>& outputs) {
-  const NetlistGraph graph(circuit);
-  ConeQuery query(graph);
+  ConeQuery query(circuit);
   return support_of(circuit, query.fanin(outputs));
 }
 
 Circuit extract_cone(const Circuit& circuit,
                      const std::vector<GateId>& outputs) {
-  const NetlistGraph graph(circuit);
-  ConeQuery query(graph);
+  ConeQuery query(circuit);
   return extract_cone_impl(circuit, query, outputs);
 }
 
 std::vector<Circuit> partition_by_outputs(const Circuit& circuit,
                                           const PartitionOptions& options) {
-  const NetlistGraph graph(circuit);
-  ConeQuery query(graph);
+  ConeQuery query(circuit);
   std::vector<Circuit> cones;
   for (const OutputGroup& group : group_outputs(circuit, query, options))
     cones.push_back(extract_cone_impl(circuit, query, group.outputs));

@@ -4,7 +4,7 @@
 //
 // The partition is by output cones: primary outputs are grouped, and each
 // group becomes a standalone subcircuit (the transitive fanin of its
-// outputs, extracted through the netlist graph core).  Two grouping modes:
+// outputs, extracted with a fanin ConeQuery).  Two grouping modes:
 //
 //   * budget mode (the original): outputs are grouped greedily in
 //     declaration order so that the union of their structural input

@@ -222,39 +222,12 @@ std::vector<AnalysisSession> run_batch(std::span<const SessionRequest> requests,
   std::vector<std::optional<AnalysisSession>> slots(requests.size());
   try {
     pool.for_each_index(requests.size(), [&](std::size_t i, unsigned) {
-      // The per-request token path (daemon requirement): a request carrying
-      // its own deadline/token runs on a token chained UNDER the batch-wide
-      // one -- the batch cancel still reaches it -- and a per-request
-      // expiry is captured into this slot's session instead of thrown, so
-      // one expired request never cancels its neighbors.
-      SessionOptions request_options = per_circuit;
-      const bool own_token =
-          requests[i].deadline_ms > 0 || requests[i].cancel_token != nullptr;
-      if (own_token) {
-        std::shared_ptr<CancelToken> token = requests[i].cancel_token;
-        if (!token) token = std::make_shared<CancelToken>();
-        if (requests[i].deadline_ms > 0)
-          token->set_deadline_after_ms(requests[i].deadline_ms);
-        if (batch_token) token->chain_parent(batch_token);
-        request_options.cancel_token = std::move(token);
-      }
-      AnalysisSession session(requests[i].circuit, request_options);
-      try {
-        session.worst_case();
-        for (const Procedure1Request& request : requests[i].average) {
-          if (!request.monitored && session.monitored(request.nmax).empty())
-            continue;  // tail-circuit convention: nothing to estimate
-          session.average_case(request);
-        }
-      } catch (const Error& e) {
-        const bool request_abort =
-            own_token && (e.kind() == ErrorKind::kCancelled ||
-                          e.kind() == ErrorKind::kDeadlineExceeded) &&
-            !is_cancelled(batch_token.get());
-        if (!request_abort) throw;
-        // The abort telemetry was recorded by guard_stage; the slot keeps
-        // the partially-computed session (no memo slot was populated by the
-        // failed stage).
+      AnalysisSession session(requests[i].circuit, per_circuit);
+      session.worst_case();
+      for (const Procedure1Request& request : requests[i].average) {
+        if (!request.monitored && session.monitored(request.nmax).empty())
+          continue;  // tail-circuit convention: nothing to estimate
+        session.average_case(request);
       }
       slots[i] = std::move(session);
     }, batch_token.get());

@@ -210,15 +210,6 @@ class AnalysisSession {
 struct SessionRequest {
   std::string circuit;  ///< resolved like every CLI circuit argument
   std::vector<Procedure1Request> average;
-  /// Per-request deadline/token (the daemon path).  When either is set the
-  /// request runs on its OWN effective token (chained under the batch-wide
-  /// token, so a batch cancel still stops it) and a fired per-request token
-  /// aborts ONLY this request: its session is returned with the abort
-  /// recorded in stats() (aborted_stage/abort_kind) and its neighbors run
-  /// to completion.  When both are unset the request rides the shared
-  /// batch token exactly as before.
-  std::uint64_t deadline_ms = 0;
-  std::shared_ptr<CancelToken> cancel_token = nullptr;
 };
 
 /// Runs every request's pipeline with whole circuits sharded across the
@@ -230,9 +221,7 @@ struct SessionRequest {
 /// effective token is armed up front and shared by every session, so a
 /// fired token stops in-flight stages and unclaimed requests alike, raising
 /// Error with the innermost observing stage (or "batch" when it fired
-/// between requests).  Requests carrying their own deadline_ms/cancel_token
-/// instead fail individually: a per-request Cancelled/DeadlineExceeded is
-/// captured in that session's stats() and never propagates to neighbors.
+/// between requests).
 std::vector<AnalysisSession> run_batch(std::span<const SessionRequest> requests,
                                        const SessionOptions& options = {});
 

@@ -3,247 +3,16 @@
 #include <algorithm>
 #include <fstream>
 #include <limits>
-#include <queue>
 
 #include "util/check.hpp"
 
 namespace ndet {
 
-NetlistGraph::NetlistGraph(const Circuit& circuit)
-    : circuit_(&circuit), node_count_(circuit.gate_count()) {
-  // The circuit already stores both directions per gate; flattening them
-  // into CSR preserves the established orders (fanouts ascending with one
-  // entry per connection, fanins in pin order).
-  forward_offsets_.assign(node_count_ + 1, 0);
-  reverse_offsets_.assign(node_count_ + 1, 0);
-  std::size_t edges = 0;
-  for (GateId g = 0; g < node_count_; ++g)
-    edges += circuit.gate(g).fanouts.size();
-  require(edges <= std::numeric_limits<std::uint32_t>::max(),
-          "NetlistGraph: edge count overflows the 32-bit CSR offsets");
-  forward_storage_.reserve(edges);
-  reverse_storage_.reserve(edges);
-  for (GateId g = 0; g < node_count_; ++g) {
-    const Gate& gate = circuit.gate(g);
-    forward_storage_.insert(forward_storage_.end(), gate.fanouts.begin(),
-                            gate.fanouts.end());
-    forward_offsets_[g + 1] = static_cast<std::uint32_t>(
-        forward_storage_.size());
-    reverse_storage_.insert(reverse_storage_.end(), gate.fanins.begin(),
-                            gate.fanins.end());
-    reverse_offsets_[g + 1] = static_cast<std::uint32_t>(
-        reverse_storage_.size());
-  }
-}
-
-NetlistGraph::NetlistGraph(std::size_t node_count,
-                           std::span<const std::pair<GateId, GateId>> edges)
-    : node_count_(node_count) {
-  build_csr(edges);
-}
-
-void NetlistGraph::build_csr(
-    std::span<const std::pair<GateId, GateId>> edges) {
-  require(edges.size() <= std::numeric_limits<std::uint32_t>::max(),
-          "NetlistGraph: edge count overflows the 32-bit CSR offsets");
-  forward_offsets_.assign(node_count_ + 1, 0);
-  reverse_offsets_.assign(node_count_ + 1, 0);
-  for (const auto& [from, to] : edges) {
-    require(from < node_count_ && to < node_count_,
-            "NetlistGraph: edge endpoint out of range");
-    ++forward_offsets_[from + 1];
-    ++reverse_offsets_[to + 1];
-  }
-  for (std::size_t n = 0; n < node_count_; ++n) {
-    forward_offsets_[n + 1] += forward_offsets_[n];
-    reverse_offsets_[n + 1] += reverse_offsets_[n];
-  }
-  forward_storage_.assign(edges.size(), kInvalidGate);
-  reverse_storage_.assign(edges.size(), kInvalidGate);
-  std::vector<std::uint32_t> forward_fill(forward_offsets_.begin(),
-                                          forward_offsets_.end() - 1);
-  std::vector<std::uint32_t> reverse_fill(reverse_offsets_.begin(),
-                                          reverse_offsets_.end() - 1);
-  // Input order within a bucket is preserved (counting sort is stable), so
-  // a caller controls neighbor order through its edge-list order.
-  for (const auto& [from, to] : edges) {
-    forward_storage_[forward_fill[from]++] = to;
-    reverse_storage_[reverse_fill[to]++] = from;
-  }
-}
-
-std::span<const GateId> NetlistGraph::successors(GateId node) const {
-  require(node < node_count_, "NetlistGraph::successors: node out of range");
-  return {forward_storage_.data() + forward_offsets_[node],
-          forward_storage_.data() + forward_offsets_[node + 1]};
-}
-
-std::span<const GateId> NetlistGraph::predecessors(GateId node) const {
-  require(node < node_count_, "NetlistGraph::predecessors: node out of range");
-  return {reverse_storage_.data() + reverse_offsets_[node],
-          reverse_storage_.data() + reverse_offsets_[node + 1]};
-}
-
-DepthFirstSearch::DepthFirstSearch(const NetlistGraph& graph, GateId root,
-                                   Direction dir)
-    : graph_(&graph), dir_(dir), seen_(graph.node_count(), false) {
-  require(root < graph.node_count(), "DepthFirstSearch: root out of range");
-  stack_.push_back(root);
-  seen_[root] = true;
-  advance();
-}
-
-void DepthFirstSearch::advance() {
-  if (stack_.empty()) {
-    done_ = true;
-    return;
-  }
-  current_ = stack_.back();
-  stack_.pop_back();
-  // Neighbors are pushed in reverse so they pop in declaration order,
-  // giving the natural left-to-right preorder.
-  const std::span<const GateId> next = graph_->neighbors(current_, dir_);
-  for (std::size_t i = next.size(); i-- > 0;) {
-    if (!seen_[next[i]]) {
-      seen_[next[i]] = true;
-      stack_.push_back(next[i]);
-    }
-  }
-}
-
-BreadthFirstSearch::BreadthFirstSearch(const NetlistGraph& graph, GateId root,
-                                       Direction dir)
-    : graph_(&graph), dir_(dir), seen_(graph.node_count(), false) {
-  require(root < graph.node_count(), "BreadthFirstSearch: root out of range");
-  queue_.push_back(root);
-  seen_[root] = true;
-}
-
-void BreadthFirstSearch::advance() {
-  for (const GateId next : graph_->neighbors(queue_[head_], dir_)) {
-    if (!seen_[next]) {
-      seen_[next] = true;
-      queue_.push_back(next);
-    }
-  }
-  ++head_;
-}
-
-TopoResult topological_order(const NetlistGraph& graph) {
-  TopoResult result;
-  const std::size_t n = graph.node_count();
-  std::vector<std::uint32_t> indegree(n, 0);
-  for (GateId node = 0; node < n; ++node)
-    indegree[node] = static_cast<std::uint32_t>(
-        graph.predecessors(node).size());
-  // Min-heap frontier: among all valid orders, produce the
-  // lexicographically smallest one (the identity on circuit graphs).
-  std::priority_queue<GateId, std::vector<GateId>, std::greater<GateId>> ready;
-  for (GateId node = 0; node < n; ++node)
-    if (indegree[node] == 0) ready.push(node);
-  result.order.reserve(n);
-  while (!ready.empty()) {
-    const GateId node = ready.top();
-    ready.pop();
-    result.order.push_back(node);
-    for (const GateId next : graph.successors(node))
-      if (--indegree[next] == 0) ready.push(next);
-  }
-  if (result.order.size() < n) {
-    result.order.clear();
-    result.cycle = CycleDetector(graph).find_cycle();
-  }
-  return result;
-}
-
-std::vector<GateId> CycleDetector::find_cycle() const {
-  const std::size_t n = graph_->node_count();
-  // Colors: 0 = unvisited, 1 = on the current DFS path, 2 = finished.
-  std::vector<std::uint8_t> color(n, 0);
-  std::vector<GateId> parent(n, kInvalidGate);
-  // Explicit stack of (node, next successor index) frames.
-  std::vector<std::pair<GateId, std::size_t>> frames;
-  for (GateId root = 0; root < n; ++root) {
-    if (color[root] != 0) continue;
-    frames.emplace_back(root, 0);
-    color[root] = 1;
-    while (!frames.empty()) {
-      auto& [node, edge] = frames.back();
-      const std::span<const GateId> next = graph_->successors(node);
-      if (edge == next.size()) {
-        color[node] = 2;
-        frames.pop_back();
-        continue;
-      }
-      const GateId target = next[edge++];
-      if (color[target] == 1) {
-        // Back edge node -> target: the gray path target..node is a cycle.
-        std::vector<GateId> cycle{node};
-        for (GateId walk = node; walk != target; walk = parent[walk])
-          cycle.push_back(parent[walk]);
-        std::reverse(cycle.begin(), cycle.end());
-        return cycle;
-      }
-      if (color[target] == 0) {
-        color[target] = 1;
-        parent[target] = node;
-        frames.emplace_back(target, 0);
-      }
-    }
-  }
-  return {};
-}
-
-PathFinder::PathFinder(const NetlistGraph& graph)
-    : graph_(&graph),
-      seen_(graph.node_count(), 0),
-      parent_(graph.node_count(), kInvalidGate) {}
-
-std::vector<GateId> PathFinder::find_path(GateId from, GateId to) {
-  const std::size_t n = graph_->node_count();
-  require(from < n && to < n, "PathFinder: node out of range");
-  // Circuit graphs are topologically ordered by id, so a path can only ever
-  // lead to a larger id -- reject the impossible direction without a walk.
-  if (graph_->circuit() != nullptr && to <= from) return {};
-  if (++epoch_ == 0) {
-    std::fill(seen_.begin(), seen_.end(), 0u);
-    epoch_ = 1;
-  }
-  const std::uint32_t mark = epoch_;
-  stack_.assign(1, from);
-  // `from` itself is deliberately not marked: a self-loop query (from ==
-  // to) must discover `to` through a real edge, not at the start node.
-  while (!stack_.empty()) {
-    const GateId node = stack_.back();
-    stack_.pop_back();
-    for (const GateId next : graph_->successors(node)) {
-      if (next == to) {
-        std::vector<GateId> path{to};
-        for (GateId walk = node; walk != from; walk = parent_[walk])
-          path.push_back(walk);
-        path.push_back(from);
-        std::reverse(path.begin(), path.end());
-        return path;
-      }
-      if (seen_[next] != mark) {
-        seen_[next] = mark;
-        parent_[next] = node;
-        stack_.push_back(next);
-      }
-    }
-  }
-  return {};
-}
-
-bool PathFinder::path_exists(GateId from, GateId to) {
-  return !find_path(from, to).empty();
-}
-
-ConeQuery::ConeQuery(const NetlistGraph& graph)
-    : graph_(&graph), seen_(graph.node_count(), 0) {}
+ConeQuery::ConeQuery(const Circuit& circuit)
+    : circuit_(&circuit), seen_(circuit.gate_count(), 0) {}
 
 std::span<const GateId> ConeQuery::collect(std::span<const GateId> roots,
-                                           Direction dir) {
+                                           std::vector<GateId> Gate::*edges) {
   if (++epoch_ == 0) {
     std::fill(seen_.begin(), seen_.end(), 0u);
     epoch_ = 1;
@@ -252,7 +21,7 @@ std::span<const GateId> ConeQuery::collect(std::span<const GateId> roots,
   cone_.clear();
   stack_.clear();
   for (const GateId root : roots) {
-    require(root < graph_->node_count(), "ConeQuery: root out of range");
+    require(root < seen_.size(), "ConeQuery: root out of range");
     if (seen_[root] != mark) {
       seen_[root] = mark;
       stack_.push_back(root);
@@ -262,60 +31,50 @@ std::span<const GateId> ConeQuery::collect(std::span<const GateId> roots,
     const GateId node = stack_.back();
     stack_.pop_back();
     cone_.push_back(node);
-    for (const GateId next : graph_->neighbors(node, dir)) {
+    for (const GateId next : circuit_->gate(node).*edges) {
       if (seen_[next] != mark) {
         seen_[next] = mark;
         stack_.push_back(next);
       }
     }
   }
-  // Ascending id order is topological order on circuit graphs; every
-  // consumer (resimulation sweeps, cone extraction) relies on it.
+  // Ascending id order is topological order; every consumer (resimulation
+  // sweeps, cone extraction) relies on it.
   std::sort(cone_.begin(), cone_.end());
   return {cone_.data(), cone_.size()};
 }
 
 std::span<const GateId> ConeQuery::fanout(GateId root) {
-  return collect({&root, 1}, Direction::kForward);
+  return collect({&root, 1}, &Gate::fanouts);
 }
 
 std::span<const GateId> ConeQuery::fanin(GateId root) {
-  return collect({&root, 1}, Direction::kReverse);
+  return collect({&root, 1}, &Gate::fanins);
 }
 
 std::span<const GateId> ConeQuery::fanin(std::span<const GateId> roots) {
-  return collect(roots, Direction::kReverse);
+  return collect(roots, &Gate::fanins);
 }
 
-std::vector<GateId> fanout_cone(const NetlistGraph& graph, GateId root) {
-  ConeQuery query(graph);
+std::vector<GateId> fanout_cone(const Circuit& circuit, GateId root) {
+  ConeQuery query(circuit);
   const std::span<const GateId> cone = query.fanout(root);
   return {cone.begin(), cone.end()};
 }
 
-std::vector<GateId> fanin_cone(const NetlistGraph& graph,
-                               std::span<const GateId> roots) {
-  ConeQuery query(graph);
-  const std::span<const GateId> cone = query.fanin(roots);
-  return {cone.begin(), cone.end()};
-}
-
-ConeIndex::ConeIndex(const NetlistGraph& graph)
-    : node_count_(graph.node_count()) {
-  const Circuit* circuit = graph.circuit();
-  require(circuit != nullptr,
-          "ConeIndex: requires a circuit-built graph (output flags)");
-  cone_offsets_.assign(node_count_ + 1, 0);
-  output_offsets_.assign(node_count_ + 1, 0);
-  ConeQuery query(graph);
-  for (GateId root = 0; root < node_count_; ++root) {
+ConeIndex::ConeIndex(const Circuit& circuit)
+    : gate_count_(circuit.gate_count()) {
+  cone_offsets_.assign(gate_count_ + 1, 0);
+  output_offsets_.assign(gate_count_ + 1, 0);
+  ConeQuery query(circuit);
+  for (GateId root = 0; root < gate_count_; ++root) {
     const std::span<const GateId> cone = query.fanout(root);
     cone_storage_.insert(cone_storage_.end(), cone.begin(), cone.end());
     cone_offsets_[root + 1] = cone_offsets_[root] +
                               static_cast<std::uint32_t>(cone.size());
     std::uint32_t outputs = 0;
     for (const GateId g : cone) {
-      if (circuit->is_output(g)) {
+      if (circuit.is_output(g)) {
         output_storage_.push_back(g);
         ++outputs;
       }
@@ -328,13 +87,13 @@ ConeIndex::ConeIndex(const NetlistGraph& graph)
 }
 
 std::span<const GateId> ConeIndex::cone_gates(GateId root) const {
-  require(root < node_count_, "ConeIndex::cone_gates: gate id out of range");
+  require(root < gate_count_, "ConeIndex::cone_gates: gate id out of range");
   return {cone_storage_.data() + cone_offsets_[root],
           cone_storage_.data() + cone_offsets_[root + 1]};
 }
 
 std::span<const GateId> ConeIndex::cone_outputs(GateId root) const {
-  require(root < node_count_, "ConeIndex::cone_outputs: gate id out of range");
+  require(root < gate_count_, "ConeIndex::cone_outputs: gate id out of range");
   return {output_storage_.data() + output_offsets_[root],
           output_storage_.data() + output_offsets_[root + 1]};
 }
@@ -354,9 +113,8 @@ std::string dot_escape(const std::string& text) {
 
 }  // namespace
 
-std::string to_dot(const NetlistGraph& graph, const DotOptions& options) {
-  const Circuit* circuit = graph.circuit();
-  const std::size_t n = graph.node_count();
+std::string to_dot(const Circuit& circuit, const DotOptions& options) {
+  const std::size_t n = circuit.gate_count();
 
   std::vector<bool> rendered(n, options.subset.empty());
   for (const GateId g : options.subset) {
@@ -370,29 +128,25 @@ std::string to_dot(const NetlistGraph& graph, const DotOptions& options) {
   std::string edges;
   for (GateId g = 0; g < n; ++g) {
     if (!rendered[g]) continue;
+    const Gate& gate = circuit.gate(g);
     const std::string id = "n" + std::to_string(g);
     // The \n between name and type is DOT's label line break, so it is
     // appended after escaping (dot_escape would double the backslash).
-    std::string label = dot_escape(id);
+    const std::string label =
+        dot_escape(gate.name) + "\\n" + to_string(gate.type);
     std::string shape = "ellipse";
-    if (circuit != nullptr) {
-      const Gate& gate = circuit->gate(g);
-      label = dot_escape(gate.name) + "\\n" + to_string(gate.type);
-      if (gate.type == GateType::kInput) shape = "box";
-      if (circuit->is_output(g)) shape = "doublecircle";
-    }
+    if (gate.type == GateType::kInput) shape = "box";
+    if (circuit.is_output(g)) shape = "doublecircle";
     nodes += "  " + id + " [shape=" + shape + ", label=\"" + label + "\"];\n";
     ++node_lines;
-    for (const GateId next : graph.successors(g)) {
+    for (const GateId next : gate.fanouts) {
       if (!rendered[next]) continue;
       edges += "  " + id + " -> n" + std::to_string(next) + ";\n";
       ++edge_lines;
     }
   }
 
-  std::string name = options.name;
-  if (name.empty()) name = circuit != nullptr ? circuit->name() : "netlist";
-  std::string out = "digraph \"" + dot_escape(name) + "\" {\n";
+  std::string out = "digraph \"" + dot_escape(circuit.name()) + "\" {\n";
   // Machine-checkable inventory line: CI validates one node line per gate
   // and one edge line per rendered edge against these counts.
   out += "  // nodes=" + std::to_string(node_lines) +
@@ -404,11 +158,11 @@ std::string to_dot(const NetlistGraph& graph, const DotOptions& options) {
   return out;
 }
 
-void write_dot_file(const std::string& path, const NetlistGraph& graph,
+void write_dot_file(const std::string& path, const Circuit& circuit,
                     const DotOptions& options) {
   std::ofstream out(path, std::ios::binary);
   require(out.good(), "write_dot_file: cannot open '" + path + "'");
-  out << to_dot(graph, options);
+  out << to_dot(circuit, options);
   out.flush();
   require(out.good(), "write_dot_file: write to '" + path + "' failed");
 }

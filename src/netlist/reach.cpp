@@ -5,8 +5,7 @@
 namespace ndet {
 
 ReachMatrix::ReachMatrix(const Circuit& circuit)
-    : graph_(circuit),
-      query_(graph_),
+    : query_(circuit),
       rows_(circuit.gate_count()),
       built_(circuit.gate_count(), false) {}
 

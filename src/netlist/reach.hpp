@@ -1,4 +1,4 @@
-// reach.hpp -- dense structural reachability, built lazily over the graph.
+// reach.hpp -- dense structural reachability, built lazily over the circuit.
 //
 // The paper restricts the untargeted fault set G to *non-feedback* bridging
 // faults: pairs of lines with no structural path between them in either
@@ -7,14 +7,12 @@
 // closure query, which is the one consumer that genuinely wants dense
 // per-gate reachability rows.
 //
-// ReachMatrix is a thin adapter over the netlist graph core
-// (netlist/graph.hpp): it materializes the closure row of a gate only on
-// the first query that touches it, so enumerating bridging pairs allocates
-// rows for the bridging sites alone and every other gate costs nothing.
-// The old eager constructor built all gate_count() rows of gate_count()
-// bits up front -- an O(V^2) memory cliff on generated circuits that the
-// lazy rows remove.  Callers that need a one-off pairwise answer without
-// any row at all should use PathFinder instead.
+// ReachMatrix materializes the closure row of a gate (its fanout cone, as
+// a ConeQuery over the circuit returns it) only on the first query that
+// touches it, so enumerating bridging pairs allocates rows for the bridging
+// sites alone and every other gate costs nothing.  Eager rows would cost
+// gate_count() rows of gate_count() bits up front -- an O(V^2) memory
+// cliff on generated circuits.
 //
 // Lazy rows are per-instance mutable state without synchronization: confine
 // an instance to one thread (the enumeration paths that use it are serial).
@@ -32,12 +30,8 @@ namespace ndet {
 /// Transitive-fanout rows of a circuit, materialized on first use.
 class ReachMatrix {
  public:
+  /// The circuit must outlive the matrix.
   explicit ReachMatrix(const Circuit& circuit);
-
-  /// The scratch query object points at the owned graph, so the matrix is
-  /// pinned to its construction address.
-  ReachMatrix(const ReachMatrix&) = delete;
-  ReachMatrix& operator=(const ReachMatrix&) = delete;
 
   /// True when a directed path of length >= 1 exists from `from` to `to`.
   /// Builds (and memoizes) the closure row of `from`.
@@ -57,7 +51,6 @@ class ReachMatrix {
  private:
   const Bitset& row(GateId gate) const;
 
-  NetlistGraph graph_;
   mutable ConeQuery query_;
   mutable std::vector<Bitset> rows_;   ///< rows_[g] valid iff built_[g]
   mutable std::vector<bool> built_;

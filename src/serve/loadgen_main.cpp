@@ -2,24 +2,17 @@
 //
 // Generates a deterministic (seeded) schedule of mixed worst-case /
 // average-case / partition requests across a circuit list (with a
-// deterministic interactive/batch priority mix), replays them at a
-// configurable client concurrency, and writes a JSON summary (--out,
-// default loadgen_report.json: p50/p90/p99 latency overall and per
-// priority, throughput, shed/retry counts, the server's own stats).
+// deterministic interactive/batch priority mix), replays them against an
+// already-running ndetd (--connect=PORT, required) from closed-loop TCP
+// clients (one connection per client thread, synchronous
+// request/response), and writes a JSON summary (--out, default
+// loadgen_report.json: p50/p90/p99 latency overall and per priority,
+// throughput, shed/retry counts, the server's own stats).
 //
-// Modes:
-//   * in-process (default): drives serve::Server::submit through the real
-//     admission queue from N closed-loop client threads -- no I/O noise,
-//     the numbers measure the engine.
-//   * --connect=PORT: closed-loop TCP clients against an already-running
-//     ndetd (one connection per client thread, synchronous
-//     request/response) -- the numbers measure the whole daemon.  Shed
-//     responses and rejected connections are retried with exponential
-//     backoff + jitter, honoring the server's retry_after_ms hint, which
-//     makes this the overload mode too.
-//
-// Every mode retries shed (resource_exhausted + retry_after_ms) responses
-// up to --max-retries times; latency is measured first-send to final
+// Shed (resource_exhausted + retry_after_ms) responses and rejected
+// connections are retried up to --max-retries times with exponential
+// backoff + jitter, honoring the server's retry_after_ms hint, which makes
+// this the overload harness too; latency is measured first-send to final
 // response, backoff included -- the latency a well-behaved retrying client
 // actually observes.  --max-p99-ms=N fails the run (exit 1) when the
 // overall p99 exceeds N, which is how CI asserts bounded latency under
@@ -40,12 +33,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <mutex>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -53,7 +45,6 @@
 
 #include "core/session.hpp"
 #include "serve/protocol.hpp"
-#include "serve/server.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
@@ -66,7 +57,6 @@ struct PlannedRequest {
   serve::RequestType type = serve::RequestType::kWorstCase;
   serve::Priority priority = serve::Priority::kBatch;
   std::string circuit;
-  std::uint64_t seed = 0;    ///< average-case seed (validation key)
   bool deadlined = false;    ///< carries a tiny deadline_ms
 };
 
@@ -123,10 +113,9 @@ std::vector<PlannedRequest> plan_requests(std::size_t count,
     if (request.type == serve::RequestType::kAverageCase) {
       // A small seed pool keeps the distinct-request set cheap to validate
       // while still exercising the memo-key separation.
-      request.seed = pick_seed(rng);
       w.key("nmax").value(nmax);
       w.key("num_sets").value(static_cast<std::uint64_t>(num_sets));
-      w.key("seed").value(request.seed);
+      w.key("seed").value(pick_seed(rng));
     } else if (request.type == serve::RequestType::kPartition) {
       w.key("budget").value(std::uint64_t{8});
     }
@@ -146,66 +135,42 @@ double percentile(std::vector<double>& sorted, double p) {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
-/// Expected "result" payloads for every distinct request, computed through
-/// direct AnalysisSession calls -- the serving layer must be bit-identical.
+/// Expected "result" payloads, computed through direct AnalysisSession
+/// calls: each planned line is parsed the way the daemon parses it and runs
+/// on a session keyed like the daemon's session cache, so the serving layer
+/// must be bit-identical.
 class Expectations {
  public:
-  explicit Expectations(const serve::ServerOptions& options)
-      : base_(options) {}
-
-  const std::string& expected(const PlannedRequest& request, int nmax,
-                              std::size_t num_sets) {
-    const std::string key = request.circuit + "|" +
-                            serve::to_string(request.type) + "|" +
-                            std::to_string(request.seed);
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
-
-    AnalysisSession& session = session_for(request.circuit);
-    std::string result;
+  std::string expected(const std::string& line) {
+    const serve::Request request = serve::parse_request(line);
+    std::unique_ptr<AnalysisSession>& session = sessions_[request.key];
+    if (!session) {
+      SessionOptions options;
+      options.max_inputs = request.key.max_inputs;
+      options.representation = request.key.representation;
+      options.num_threads = 1;
+      session = std::make_unique<AnalysisSession>(request.circuit, options);
+    }
     switch (request.type) {
       case serve::RequestType::kWorstCase:
-        result = to_json(session.worst_case());
-        break;
-      case serve::RequestType::kAverageCase: {
-        Procedure1Request avg;
-        avg.nmax = nmax;
-        avg.num_sets = num_sets;
-        avg.seed = request.seed;
-        result = to_json(session.average_case(avg));
-        break;
-      }
+        return to_json(session->worst_case());
+      case serve::RequestType::kAverageCase:
+        return to_json(session->average_case(request.average));
       case serve::RequestType::kPartition: {
         JsonWriter w;
         w.begin_array();
-        for (const ConeReport& report :
-             session.partitioned(PartitionOptions{.max_inputs = 8}))
+        for (const ConeReport& report : session->partitioned(request.partition))
           w.raw(to_json(report));
         w.end_array();
-        result = w.str();
-        break;
+        return w.str();
       }
       default:
-        break;
+        return {};
     }
-    return cache_.emplace(key, std::move(result)).first->second;
   }
 
  private:
-  AnalysisSession& session_for(const std::string& circuit) {
-    const auto it = sessions_.find(circuit);
-    if (it != sessions_.end()) return *it->second;
-    SessionOptions options;
-    options.max_inputs = base_.max_inputs;
-    options.representation = base_.representation;
-    options.num_threads = 1;
-    auto session = std::make_unique<AnalysisSession>(circuit, options);
-    return *sessions_.emplace(circuit, std::move(session)).first->second;
-  }
-
-  serve::ServerOptions base_;
-  std::map<std::string, std::unique_ptr<AnalysisSession>> sessions_;
-  std::map<std::string, std::string> cache_;
+  std::map<serve::CacheKey, std::unique_ptr<AnalysisSession>> sessions_;
 };
 
 struct RunResult {
@@ -230,79 +195,6 @@ std::uint64_t backoff_ms(std::uint64_t hint, std::size_t attempt,
   return static_cast<std::uint64_t>(
       std::clamp(ms, 1.0, static_cast<double>(cap_ms)));
 }
-
-/// Drives one line through submit() and blocks for its response -- the
-/// closed-loop client shape the retry loop needs.
-std::string submit_and_wait(serve::Server& server, const std::string& line) {
-  std::mutex mutex;
-  std::condition_variable done_cv;
-  std::string response;
-  bool done = false;
-  server.submit(line, [&](std::string&& r) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex);
-      response = std::move(r);
-      done = true;
-    }
-    done_cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(mutex);
-  done_cv.wait(lock, [&] { return done; });
-  return response;
-}
-
-/// In-process replay: N closed-loop client threads racing over one shared
-/// schedule, through the real admission queue, retrying sheds.
-RunResult run_inprocess(serve::Server& server,
-                        const std::vector<PlannedRequest>& planned,
-                        unsigned concurrency, std::size_t max_retries) {
-  RunResult result;
-  result.latency_ms.resize(planned.size());
-  result.responses.resize(planned.size());
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::uint64_t> shed_observed{0};
-  std::atomic<std::uint64_t> retries_total{0};
-  const auto wall_start = std::chrono::steady_clock::now();
-  std::vector<std::thread> clients;
-  clients.reserve(concurrency);
-  for (unsigned c = 0; c < concurrency; ++c) {
-    clients.emplace_back([&, c] {
-      std::mt19937_64 rng(0x10ad6e5 + c);  // per-client jitter stream
-      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-           i < planned.size();
-           i = next.fetch_add(1, std::memory_order_relaxed)) {
-        const auto start = std::chrono::steady_clock::now();
-        std::string response = submit_and_wait(server, planned[i].line);
-        for (std::size_t attempt = 0;
-             serve::is_shed_response(response) && attempt < max_retries;
-             ++attempt) {
-          shed_observed.fetch_add(1, std::memory_order_relaxed);
-          retries_total.fetch_add(1, std::memory_order_relaxed);
-          std::this_thread::sleep_for(std::chrono::milliseconds(
-              backoff_ms(serve::retry_after_ms_of(response), attempt, rng,
-                         5000)));
-          response = submit_and_wait(server, planned[i].line);
-        }
-        if (serve::is_shed_response(response))
-          shed_observed.fetch_add(1, std::memory_order_relaxed);
-        result.responses[i] = std::move(response);
-        result.latency_ms[i] = std::chrono::duration<double, std::milli>(
-                                   std::chrono::steady_clock::now() - start)
-                                   .count();
-      }
-    });
-  }
-  for (std::thread& client : clients) client.join();
-  result.wall_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - wall_start)
-                            .count();
-  result.server_stats = server.stats_json();
-  result.shed_observed = shed_observed.load();
-  result.retries_total = retries_total.load();
-  return result;
-}
-
-// --- TCP closed-loop mode ---------------------------------------------------
 
 int connect_loopback(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -345,8 +237,7 @@ bool tcp_round_trip(int fd, const std::string& line, std::string& buffer,
 
 /// TCP closed-loop replay against a running ndetd: one connection per
 /// client thread, retrying sheds AND rejected/refused connections with the
-/// same backoff.  This is the overload mode the CI smoke leg drives at
-/// over-capacity.
+/// same backoff.  CI's overload smoke drives this at over-capacity.
 RunResult run_connect(int port, const std::vector<PlannedRequest>& planned,
                       unsigned concurrency, std::size_t max_retries) {
   RunResult result;
@@ -437,11 +328,10 @@ int main(int argc, char** argv) {
   using namespace ndet;
   return run_cli([&]() -> int {
     const CliArgs args(argc, argv,
-                       {"requests", "concurrency", "circuits", "cache-bytes",
-                        "threads", "seed", "out", "responses", "validate",
-                        "deadline-every", "num-sets", "nmax",
-                        "interactive-every", "max-retries", "connect",
-                        "max-p99-ms", "queue-depth", "queue-bytes"});
+                       {"requests", "concurrency", "circuits", "seed", "out",
+                        "responses", "validate", "deadline-every", "num-sets",
+                        "nmax", "interactive-every", "max-retries", "connect",
+                        "max-p99-ms"});
     const std::size_t requests = args.get_u64("requests", 2000);
     const unsigned concurrency =
         static_cast<unsigned>(args.get_u64("concurrency", 8));
@@ -456,34 +346,15 @@ int main(int argc, char** argv) {
     const std::size_t interactive_every = args.get_u64("interactive-every", 4);
     const std::size_t max_retries = args.get_u64("max-retries", 6);
     const std::uint64_t max_p99_ms = args.get_u64("max-p99-ms", 0);
-
-    serve::ServerOptions options;
-    // Default budget deliberately below the suite's summed working sets so
-    // the replay exercises eviction and rebuild, not just hits.
-    options.cache_bytes =
-        static_cast<std::size_t>(args.get_u64("cache-bytes", 64u << 10));
-    options.concurrency = concurrency;
-    options.threads = static_cast<unsigned>(args.get_u64("threads", 0));
-    options.max_queue_depth = static_cast<std::size_t>(
-        args.get_u64("queue-depth", options.max_queue_depth));
-    options.max_queue_bytes = static_cast<std::size_t>(
-        args.get_u64("queue-bytes", options.max_queue_bytes));
+    require(args.has("connect"),
+            "loadgen: --connect=PORT (a running ndetd) is required");
 
     const std::vector<PlannedRequest> planned =
         plan_requests(requests, circuits, seed, num_sets, nmax, deadline_every,
                       interactive_every);
-
-    RunResult run;
-    std::string mode;
-    if (args.has("connect")) {
-      mode = "connect";
-      run = run_connect(static_cast<int>(args.get_u64("connect", 0)), planned,
-                        concurrency, max_retries);
-    } else {
-      mode = "inprocess";
-      serve::Server server(options);
-      run = run_inprocess(server, planned, concurrency, max_retries);
-    }
+    const RunResult run =
+        run_connect(static_cast<int>(args.get_u64("connect", 0)), planned,
+                    concurrency, max_retries);
 
     if (args.has("responses")) {
       std::ofstream out(args.get("responses", ""), std::ios::trunc);
@@ -508,7 +379,7 @@ int main(int argc, char** argv) {
     // --- validate ----------------------------------------------------------
     std::size_t validated = 0, mismatches = 0;
     if (args.has("validate")) {
-      Expectations expectations(options);
+      Expectations expectations;
       for (std::size_t i = 0; i < planned.size(); ++i) {
         const PlannedRequest& request = planned[i];
         const std::string& response = run.responses[i];
@@ -529,8 +400,7 @@ int main(int argc, char** argv) {
           }
           continue;
         }
-        const std::string& expected =
-            expectations.expected(request, nmax, num_sets);
+        const std::string expected = expectations.expected(request.line);
         if (response.find("\"result\":" + expected) == std::string::npos) {
           ++mismatches;
           std::cerr << "loadgen: result mismatch for request " << i + 1
@@ -573,10 +443,8 @@ int main(int argc, char** argv) {
     JsonWriter w;
     w.begin_object();
     w.key("name").value("serve_loadgen");
-    w.key("mode").value(mode);
     w.key("requests").value(static_cast<std::uint64_t>(requests));
     w.key("concurrency").value(concurrency);
-    w.key("cache_bytes").value(static_cast<std::uint64_t>(options.cache_bytes));
     w.key("interactive_every")
         .value(static_cast<std::uint64_t>(interactive_every));
     w.key("max_retries").value(static_cast<std::uint64_t>(max_retries));

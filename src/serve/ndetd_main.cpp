@@ -71,8 +71,8 @@ int main(int argc, char** argv) {
   using namespace ndet;
   return run_cli([&]() -> int {
     const CliArgs args(argc, argv,
-                       {"cache-bytes", "concurrency", "threads", "max-inputs",
-                        "listen", "oneshot", "max-line-bytes", "queue-depth",
+                       {"cache-bytes", "concurrency", "threads", "listen",
+                        "oneshot", "max-line-bytes", "queue-depth",
                         "queue-bytes", "max-connections", "drain-ms"});
     serve::ServerOptions options;
     options.cache_bytes = static_cast<std::size_t>(
@@ -81,8 +81,6 @@ int main(int argc, char** argv) {
         args.get_u64("concurrency", options.concurrency));
     options.threads =
         static_cast<unsigned>(args.get_u64("threads", options.threads));
-    options.max_inputs =
-        static_cast<int>(args.get_u64("max-inputs", options.max_inputs));
     options.max_line_bytes = static_cast<std::size_t>(
         args.get_u64("max-line-bytes", options.max_line_bytes));
     options.max_queue_depth = static_cast<std::size_t>(

@@ -37,8 +37,6 @@ SessionOptions base_options(const ServerOptions& options) {
   const unsigned total = resolve_thread_count(options.threads);
   const unsigned outer = std::max(1u, options.concurrency);
   base.num_threads = std::max(1u, total / outer);
-  base.max_inputs = options.max_inputs;
-  base.representation = options.representation;
   return base;
 }
 
@@ -793,11 +791,15 @@ bool Server::serve_tcp(int port, const std::function<void(int)>& ready) {
       while (true) {
         const ssize_t got = ::read(conn->fd, chunk, sizeof chunk);
         if (got <= 0) break;  // EOF, error, or SHUT_RD from the drain path
+        // Bytes already in the buffer hold no newline: search only the new
+        // ones, and consume complete lines in one erase per read.
+        std::size_t scan = buffer.size();
         buffer.append(chunk, static_cast<std::size_t>(got));
+        std::size_t start = 0;
         std::size_t newline;
-        while ((newline = buffer.find('\n')) != std::string::npos) {
-          std::string line = buffer.substr(0, newline);
-          buffer.erase(0, newline + 1);
+        while ((newline = buffer.find('\n', scan)) != std::string::npos) {
+          std::string line = buffer.substr(start, newline - start);
+          start = scan = newline + 1;
           if (line.empty()) continue;
           {
             const std::lock_guard<std::mutex> lock(conn->mutex);
@@ -809,6 +811,15 @@ bool Server::serve_tcp(int port, const std::function<void(int)>& ready) {
             if (--conn->outstanding == 0) conn->all_done.notify_all();
           });
         }
+        buffer.erase(0, start);
+        if (buffer.size() > options_.max_line_bytes) {
+          // The unterminated line is already over the cap, so it can never
+          // be admitted: answer it now (handle_line rejects it by size and
+          // counts it malformed) and stop reading instead of buffering
+          // without bound.
+          write_line(conn, handle_line(buffer));
+          break;
+        }
         if (is_cancelled(lifetime_.get())) break;
       }
       // Every submitted line still owes its response; the dispatchers are
@@ -817,6 +828,10 @@ bool Server::serve_tcp(int port, const std::function<void(int)>& ready) {
       {
         std::unique_lock<std::mutex> lock(conn->mutex);
         conn->all_done.wait(lock, [&] { return conn->outstanding == 0; });
+        // FIN before close: a close over unread input (an over-cap line, or
+        // bytes that arrived after a drain's SHUT_RD) resets the connection,
+        // and the FIN lets the client read the responses and then EOF.
+        ::shutdown(conn->fd, SHUT_WR);
         ::close(conn->fd);
         conn->fd = -1;
       }

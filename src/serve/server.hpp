@@ -39,8 +39,8 @@
 // the key simply reruns the stage.
 //
 // handle_line() is synchronous and thread-safe, so embedders (tests, the
-// in-process load generator) can drive the server without any I/O
-// plumbing; submit() is the admission-controlled path the transports use.
+// --oneshot path) can drive the server without any I/O plumbing; submit()
+// is the admission-controlled path the transports use.
 
 #pragma once
 
@@ -93,8 +93,6 @@ struct ServerOptions {
   std::size_t cache_bytes = 64u << 20;  ///< LRU byte budget (0 = unbounded)
   unsigned concurrency = 4;             ///< dispatcher threads
   unsigned threads = 0;  ///< total pool-width budget; 0 = all hardware
-  int max_inputs = 20;   ///< default per-request exhaustive budget
-  SetRepresentation representation = SetRepresentation::kAdaptive;
   std::size_t max_line_bytes = 1u << 20;  ///< admission cap per request line
   std::size_t max_queue_depth = 256;   ///< admission depth bound (0 = off)
   std::size_t max_queue_bytes = 8u << 20;  ///< admission byte bound (0 = off)

@@ -14,8 +14,7 @@ BatchFaultSimulator::BatchFaultSimulator(const ExhaustiveSimulator& good,
     : good_(&good),
       lines_(&lines),
       pool_(&pool),
-      graph_(good.circuit()),
-      cones_(graph_) {
+      cones_(good.circuit()) {
   require(&good.circuit() == &lines.circuit(),
           "BatchFaultSimulator: simulator and line model refer to different "
           "circuits");

@@ -6,11 +6,9 @@
 // so those structural queries are pure overhead past the first fault rooted
 // at each gate.  BatchFaultSimulator amortizes them:
 //
-//   * all fanout cones and their affected-output lists come from the shared
-//     netlist graph core (netlist/graph.hpp): a NetlistGraph is built once
-//     and a ConeIndex freezes every root's cone and output list in CSR
-//     form, so a fault simulation starts with two array lookups instead of
-//     a DFS;
+//   * all fanout cones and their affected-output lists are frozen once in
+//     a ConeIndex (netlist/graph.hpp) built from the circuit, so a fault
+//     simulation starts with two array lookups instead of a DFS;
 //   * every worker thread owns a scratch arena (faulty-value columns, fanin
 //     word buffer, epoch-stamped cone-membership map) that is reused across
 //     all faults the thread processes -- zero allocations in steady state;
@@ -112,9 +110,7 @@ class BatchFaultSimulator {
   const LineModel* lines_;
   const ThreadPool* pool_;  ///< non-owning
 
-  // Shared structural layer: the graph built once, all cones frozen in CSR.
-  NetlistGraph graph_;
-  ConeIndex cones_;
+  ConeIndex cones_;  ///< every root's cone and output list, frozen in CSR
   std::size_t max_fanin_ = 0;
 };
 

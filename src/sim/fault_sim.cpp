@@ -3,13 +3,14 @@
 #include <algorithm>
 
 #include "logic/eval.hpp"
+#include "netlist/graph.hpp"
 #include "util/check.hpp"
 
 namespace ndet {
 
 FaultSimulator::FaultSimulator(const ExhaustiveSimulator& good,
                                const LineModel& lines)
-    : good_(&good), lines_(&lines), graph_(good.circuit()) {
+    : good_(&good), lines_(&lines) {
   require(&good.circuit() == &lines.circuit(),
           "FaultSimulator: simulator and line model refer to different circuits");
   const std::size_t gate_count = good.circuit().gate_count();
@@ -30,7 +31,7 @@ std::uint32_t FaultSimulator::next_epoch() const {
 }
 
 std::vector<GateId> FaultSimulator::affected_gates(GateId root) const {
-  return fanout_cone(graph_, root);
+  return fanout_cone(good_->circuit(), root);
 }
 
 Bitset FaultSimulator::simulate(

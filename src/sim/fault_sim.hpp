@@ -33,7 +33,6 @@
 
 #include "faults/bridging.hpp"
 #include "faults/stuck_at.hpp"
-#include "netlist/graph.hpp"
 #include "netlist/lines.hpp"
 #include "sim/exhaustive.hpp"
 #include "util/bitset.hpp"
@@ -74,7 +73,6 @@ class FaultSimulator {
 
   const ExhaustiveSimulator* good_;
   const LineModel* lines_;
-  NetlistGraph graph_;  ///< shared structural layer behind the cone walks
 
   // Per-instance scratch, reused across simulate() calls so the per-fault
   // cost carries no allocations beyond the cone DFS and the result Bitset.

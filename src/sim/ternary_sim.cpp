@@ -7,7 +7,7 @@
 namespace ndet {
 
 TernarySimulator::TernarySimulator(const LineModel& lines)
-    : lines_(&lines), graph_(lines.circuit()) {}
+    : lines_(&lines), cones_(lines.circuit()) {}
 
 const Circuit& TernarySimulator::circuit() const { return lines_->circuit(); }
 
@@ -49,10 +49,9 @@ std::vector<Ternary> TernarySimulator::faulty_values(
   const Ternary stuck = ternary_of(fault.stuck_value);
   const GateId start = line.kind == LineKind::kStem ? line.driver : line.sink;
 
-  const std::vector<GateId> affected = fanout_cone(graph_, start);
   std::vector<Ternary> faulty(good.begin(), good.end());
   std::vector<Ternary> fanins;
-  for (const GateId g : affected) {
+  for (const GateId g : cones_.cone_gates(start)) {
     const Gate& gate = c.gate(g);
     if (line.kind == LineKind::kStem && g == start) {
       faulty[g] = stuck;

@@ -16,12 +16,12 @@
 //
 // Concurrency discipline: an oracle instance is single-threaded by design.
 // Parallel engines shard the caches by giving every worker its own
-// instance -- construction is cheap (the simulator borrows the line model;
-// only the fault list is copied), distinct() stays lock-free, and the
-// workers' hit/miss telemetry is merged through stats().  Verdicts are pure
-// functions of (fault, agreement pattern), so sharding never changes a
-// result -- only which shard pays the miss (DESIGN.md "Procedure-1
-// sharding").
+// instance -- construction is cheap (the simulator borrows the line model
+// and indexes the fanout cones once; the fault list is copied), distinct()
+// stays lock-free, and the workers' hit/miss telemetry is merged through
+// stats().  Verdicts are pure functions of (fault, agreement pattern), so
+// sharding never changes a result -- only which shard pays the miss
+// (DESIGN.md "Procedure-1 sharding").
 
 #pragma once
 
@@ -70,7 +70,7 @@ class TernarySimulator {
                          std::span<const Ternary> good) const;
 
   const LineModel* lines_;
-  NetlistGraph graph_;  ///< shared structural layer behind the cone walks
+  ConeIndex cones_;  ///< every gate's fanout cone, built once
   friend class Def2Oracle;
 };
 

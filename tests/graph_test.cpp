@@ -1,21 +1,19 @@
-// graph_test.cpp -- the netlist graph core against independent references.
+// graph_test.cpp -- cone queries over a Circuit against independent
+// references.
 //
-// NetlistGraph is the one structural layer every consumer (reach, cones,
-// partitioning, the batch simulator, DOT export) now sits on, so this suite
-// pins its contracts directly: CSR adjacency mirrors the circuit, DFS/BFS
-// visit exactly the reachable set, topological order is the identity on
-// circuit graphs, cycle detection produces a real witness on sequential
-// loops, PathFinder agrees with the dense closure on every gate pair, cone
-// queries agree with an independent traversal, structure-mode partitioning
-// is bit-identical to budget mode when the groupings coincide, and the DOT
-// export is structurally valid.
+// Every structural consumer (reach, partitioning, the simulators, DOT
+// export) walks the circuit's own adjacency lists through netlist/graph.hpp,
+// so this suite pins those contracts directly: the reachability rows agree
+// with an independent traversal on every gate pair, cone queries and the
+// precomputed cone table agree with that traversal, structure-mode
+// partitioning is bit-identical to budget mode when the groupings coincide,
+// and the DOT export is structurally valid.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/partition.hpp"
@@ -46,8 +44,8 @@ std::vector<Circuit> structural_corpus() {
   return circuits;
 }
 
-/// Independent fanout-cone reference: the pre-graph-core BFS (the old
-/// sim/cone algorithm), deliberately not sharing any code with ConeQuery.
+/// Independent fanout-cone reference: a BFS that deliberately shares no
+/// code with ConeQuery.
 std::vector<GateId> reference_fanout_cone(const Circuit& circuit, GateId root) {
   std::vector<bool> seen(circuit.gate_count(), false);
   std::vector<GateId> queue = {root};
@@ -81,165 +79,27 @@ std::vector<GateId> reference_fanin_cone(const Circuit& circuit,
   return queue;
 }
 
-bool has_edge(const NetlistGraph& graph, GateId from, GateId to) {
-  const auto succ = graph.successors(from);
-  return std::find(succ.begin(), succ.end(), to) != succ.end();
-}
-
-TEST(Graph, CsrMirrorsCircuitAdjacency) {
-  for (const Circuit& circuit : structural_corpus()) {
-    const NetlistGraph graph(circuit);
-    ASSERT_EQ(graph.node_count(), circuit.gate_count()) << circuit.name();
-    ASSERT_EQ(graph.circuit(), &circuit) << circuit.name();
-    std::size_t edges = 0;
-    for (GateId g = 0; g < circuit.gate_count(); ++g) {
-      const Gate& gate = circuit.gate(g);
-      const auto succ = graph.successors(g);
-      ASSERT_EQ(std::vector<GateId>(succ.begin(), succ.end()), gate.fanouts)
-          << circuit.name() << " gate " << g;
-      const auto pred = graph.predecessors(g);
-      ASSERT_EQ(std::vector<GateId>(pred.begin(), pred.end()), gate.fanins)
-          << circuit.name() << " gate " << g;
-      edges += gate.fanouts.size();
-    }
-    EXPECT_EQ(graph.edge_count(), edges) << circuit.name();
-  }
-}
-
-TEST(Graph, DfsVisitsExactlyTheReachableSetOnce) {
-  const Circuit circuit = fsm_benchmark_circuit("bbara");
-  const NetlistGraph graph(circuit);
-  for (GateId root = 0; root < circuit.gate_count(); ++root) {
-    std::vector<GateId> visited;
-    for (const GateId g : DepthFirstSearch(graph, root)) visited.push_back(g);
-    ASSERT_FALSE(visited.empty());
-    EXPECT_EQ(visited.front(), root);
-    std::vector<GateId> sorted = visited;
-    std::sort(sorted.begin(), sorted.end());
-    EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) ==
-                sorted.end())
-        << "root " << root << ": node visited twice";
-    EXPECT_EQ(sorted, reference_fanout_cone(circuit, root)) << "root " << root;
-  }
-}
-
-TEST(Graph, BfsVisitsTheSameSetAsDfsInBothDirections) {
-  const Circuit circuit = fsm_benchmark_circuit("dk27");
-  const NetlistGraph graph(circuit);
-  for (const Direction dir : {Direction::kForward, Direction::kReverse}) {
-    for (GateId root = 0; root < circuit.gate_count(); ++root) {
-      std::vector<GateId> bfs;
-      for (const GateId g : BreadthFirstSearch(graph, root, dir))
-        bfs.push_back(g);
-      ASSERT_FALSE(bfs.empty());
-      EXPECT_EQ(bfs.front(), root);
-      std::vector<GateId> dfs;
-      for (const GateId g : DepthFirstSearch(graph, root, dir))
-        dfs.push_back(g);
-      std::sort(bfs.begin(), bfs.end());
-      std::sort(dfs.begin(), dfs.end());
-      EXPECT_EQ(bfs, dfs) << "root " << root;
-    }
-  }
-}
-
-TEST(Graph, TopologicalOrderIsTheIdentityOnCircuitGraphs) {
-  // CircuitBuilder numbers gates so every fanin has a smaller id, and the
-  // sort prefers the lexicographically smallest valid order, so the result
-  // must be exactly 0..n-1 -- the invariant resimulation sequences rely on.
-  for (const Circuit& circuit : structural_corpus()) {
-    const NetlistGraph graph(circuit);
-    const TopoResult topo = topological_order(graph);
-    ASSERT_TRUE(topo.is_acyclic()) << circuit.name();
-    ASSERT_EQ(topo.order.size(), circuit.gate_count()) << circuit.name();
-    for (GateId g = 0; g < circuit.gate_count(); ++g)
-      ASSERT_EQ(topo.order[g], g) << circuit.name();
-  }
-}
-
-TEST(CycleDetector, ReportsAWitnessOnASequentialLoop) {
-  // A next-state line feeding back into present state: 0 -> 1 -> 2 -> 1,
-  // plus an off-cycle sink 2 -> 3.  Raw-edge graphs accept the loop.
-  const std::vector<std::pair<GateId, GateId>> edges = {
-      {0, 1}, {1, 2}, {2, 1}, {2, 3}};
-  const NetlistGraph graph(4, edges);
-  const TopoResult topo = topological_order(graph);
-  EXPECT_FALSE(topo.is_acyclic());
-  EXPECT_TRUE(topo.order.empty());
-  ASSERT_GE(topo.cycle.size(), 2u);
-  for (std::size_t i = 0; i + 1 < topo.cycle.size(); ++i)
-    EXPECT_TRUE(has_edge(graph, topo.cycle[i], topo.cycle[i + 1]))
-        << "cycle edge " << i << " missing";
-  EXPECT_TRUE(has_edge(graph, topo.cycle.back(), topo.cycle.front()))
-      << "closing edge missing";
-  const std::set<GateId> members(topo.cycle.begin(), topo.cycle.end());
-  EXPECT_EQ(members, (std::set<GateId>{1, 2}));
-}
-
-TEST(CycleDetector, FindsNothingOnAcyclicGraphs) {
-  const std::vector<std::pair<GateId, GateId>> edges = {{0, 1}, {1, 2}, {0, 2}};
-  const NetlistGraph raw(3, edges);
-  EXPECT_TRUE(CycleDetector(raw).find_cycle().empty());
-  const Circuit circuit = fsm_benchmark_circuit("lion");
-  const NetlistGraph graph(circuit);
-  EXPECT_TRUE(CycleDetector(graph).find_cycle().empty());
-}
-
-TEST(PathFinder, AgreesWithTheDenseClosureOnEveryGatePair) {
+TEST(Graph, ReachMatchesAnIndependentTraversalOnEveryGatePair) {
   for (const char* const name : {"paper_example", "c17", "adder3", "lion"}) {
     const Circuit circuit = resolve_circuit(name);
-    const NetlistGraph graph(circuit);
     const ReachMatrix reach(circuit);
-    PathFinder finder(graph);
-    for (GateId from = 0; from < circuit.gate_count(); ++from)
-      for (GateId to = 0; to < circuit.gate_count(); ++to)
-        ASSERT_EQ(finder.path_exists(from, to), reach.reaches(from, to))
+    for (GateId from = 0; from < circuit.gate_count(); ++from) {
+      const std::vector<GateId> cone = reference_fanout_cone(circuit, from);
+      for (GateId to = 0; to < circuit.gate_count(); ++to) {
+        // Reachability means a path of length >= 1, and circuits are
+        // acyclic, so a gate never reaches itself.
+        const bool expected =
+            to != from && std::binary_search(cone.begin(), cone.end(), to);
+        ASSERT_EQ(reach.reaches(from, to), expected)
             << name << ": " << from << " -> " << to;
-  }
-}
-
-TEST(PathFinder, ReturnsARealPathWitness) {
-  const Circuit circuit = fsm_benchmark_circuit("bbtas");
-  const NetlistGraph graph(circuit);
-  PathFinder finder(graph);
-  const ReachMatrix reach(circuit);
-  for (GateId from = 0; from < circuit.gate_count(); ++from)
-    for (GateId to = 0; to < circuit.gate_count(); ++to) {
-      const std::vector<GateId> path = finder.find_path(from, to);
-      if (!reach.reaches(from, to)) {
-        EXPECT_TRUE(path.empty()) << from << " -> " << to;
-        continue;
       }
-      ASSERT_GE(path.size(), 2u) << from << " -> " << to;
-      EXPECT_EQ(path.front(), from);
-      EXPECT_EQ(path.back(), to);
-      for (std::size_t i = 0; i + 1 < path.size(); ++i)
-        ASSERT_TRUE(has_edge(graph, path[i], path[i + 1]))
-            << from << " -> " << to << " broken at hop " << i;
     }
-}
-
-TEST(PathFinder, SelfLoopQueriesNeedARealCycle) {
-  const Circuit circuit = resolve_circuit("c17");
-  const NetlistGraph acyclic(circuit);
-  PathFinder finder(acyclic);
-  for (GateId g = 0; g < circuit.gate_count(); ++g)
-    EXPECT_FALSE(finder.path_exists(g, g)) << "gate " << g;
-
-  const std::vector<std::pair<GateId, GateId>> edges = {{0, 1}, {1, 0}};
-  const NetlistGraph loop(2, edges);
-  PathFinder loop_finder(loop);
-  EXPECT_TRUE(loop_finder.path_exists(0, 0));
-  const std::vector<GateId> cycle = loop_finder.find_path(1, 1);
-  ASSERT_EQ(cycle.size(), 3u);
-  EXPECT_EQ(cycle.front(), 1u);
-  EXPECT_EQ(cycle.back(), 1u);
+  }
 }
 
 TEST(Graph, ConeQueriesMatchAnIndependentTraversal) {
   for (const Circuit& circuit : structural_corpus()) {
-    const NetlistGraph graph(circuit);
-    ConeQuery query(graph);
+    ConeQuery query(circuit);
     for (GateId g = 0; g < circuit.gate_count(); ++g) {
       const auto fanout = query.fanout(g);
       ASSERT_EQ(std::vector<GateId>(fanout.begin(), fanout.end()),
@@ -269,10 +129,9 @@ TEST(Graph, ConeIndexMatchesConeQuery) {
   config.num_inputs = 7;
   config.num_gates = 50;
   const Circuit circuit = generate_random_circuit(config, 3);
-  const NetlistGraph graph(circuit);
-  const ConeIndex index(graph);
+  const ConeIndex index(circuit);
   for (GateId g = 0; g < circuit.gate_count(); ++g) {
-    const std::vector<GateId> expected = fanout_cone(graph, g);
+    const std::vector<GateId> expected = fanout_cone(circuit, g);
     const auto gates = index.cone_gates(g);
     ASSERT_EQ(std::vector<GateId>(gates.begin(), gates.end()), expected)
         << "gate " << g;
@@ -298,10 +157,9 @@ TEST(Graph, ReachRowsMaterializeLazily) {
   EXPECT_EQ(reach.materialized_rows(), 3u);
   // Row contents match the historical eager semantics: the transitive
   // fanout excluding the gate itself.
-  const NetlistGraph graph(circuit);
   for (const GateId g : {GateId{0}, GateId{2}, GateId{3}}) {
     const Bitset& row = reach.fanout_cone(g);
-    std::vector<GateId> expected = fanout_cone(graph, g);
+    std::vector<GateId> expected = fanout_cone(circuit, g);
     expected.erase(std::remove(expected.begin(), expected.end(), g),
                    expected.end());
     std::vector<GateId> actual;
@@ -412,15 +270,18 @@ TEST(GraphPartition, StructureModeFoldsConstantOutputsIntoANeighbor) {
 
 TEST(GraphDot, ExportIsStructurallyValid) {
   const Circuit circuit = resolve_circuit("c17");
-  const NetlistGraph graph(circuit);
-  const std::string dot = to_dot(graph);
+  const std::string dot = to_dot(circuit);
   EXPECT_EQ(dot.rfind("digraph \"c17\" {", 0), 0u);
   EXPECT_EQ(std::count(dot.begin(), dot.end(), '{'),
             std::count(dot.begin(), dot.end(), '}'));
+  // One edge per fanout connection.
+  std::size_t connections = 0;
+  for (GateId g = 0; g < circuit.gate_count(); ++g)
+    connections += circuit.gate(g).fanouts.size();
   // The inventory comment must match the rendered lines.
   const std::string header = "  // nodes=" +
                              std::to_string(circuit.gate_count()) +
-                             " edges=" + std::to_string(graph.edge_count());
+                             " edges=" + std::to_string(connections);
   EXPECT_NE(dot.find(header), std::string::npos) << dot;
   std::size_t node_lines = 0;
   std::size_t edge_lines = 0;
@@ -432,7 +293,7 @@ TEST(GraphDot, ExportIsStructurallyValid) {
        ++pos)
     ++edge_lines;
   EXPECT_EQ(node_lines, circuit.gate_count());
-  EXPECT_EQ(edge_lines, graph.edge_count());
+  EXPECT_EQ(edge_lines, connections);
   // Inputs are boxes; primary outputs are double circles.
   EXPECT_NE(dot.find("shape=box"), std::string::npos);
   EXPECT_NE(dot.find("shape=doublecircle"), std::string::npos);
@@ -440,12 +301,11 @@ TEST(GraphDot, ExportIsStructurallyValid) {
 
 TEST(GraphDot, SubsetRestrictsNodesAndEdges) {
   const Circuit circuit = resolve_circuit("c17");
-  const NetlistGraph graph(circuit);
-  ConeQuery query(graph);
+  ConeQuery query(circuit);
   const auto cone = query.fanout(0);
   DotOptions options;
   options.subset.assign(cone.begin(), cone.end());
-  const std::string dot = to_dot(graph, options);
+  const std::string dot = to_dot(circuit, options);
   std::size_t node_lines = 0;
   for (std::size_t pos = 0; (pos = dot.find("[shape=", pos)) !=
                             std::string::npos;
@@ -469,16 +329,7 @@ TEST(GraphDot, SubsetRestrictsNodesAndEdges) {
   }
   DotOptions bad;
   bad.subset = {GateId{999}};
-  EXPECT_THROW((void)to_dot(graph, bad), contract_error);
-}
-
-TEST(GraphDot, RawGraphsFallBackToNodeIdLabels) {
-  const std::vector<std::pair<GateId, GateId>> edges = {{0, 1}, {1, 2}};
-  const NetlistGraph graph(3, edges);
-  const std::string dot = to_dot(graph);
-  EXPECT_EQ(dot.rfind("digraph \"netlist\" {", 0), 0u);
-  EXPECT_NE(dot.find("n0 [shape=ellipse, label=\"n0\"];"), std::string::npos)
-      << dot;
+  EXPECT_THROW((void)to_dot(circuit, bad), contract_error);
 }
 
 }  // namespace

@@ -9,11 +9,14 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
+#include <cstring>
 #include <future>
 #include <map>
 #include <optional>
@@ -889,6 +892,60 @@ TEST(Server, TcpConnectionCapRejectsExcessWithTypedResponse) {
 
   server.shutdown();
   serving.join();
+}
+
+TEST(Server, TcpUnterminatedLineOverTheCapIsRejected) {
+  // A client that never sends a newline must not make the daemon buffer
+  // without bound: once the unterminated bytes pass max_line_bytes the
+  // connection gets one typed invalid_input line and is closed.
+  ServerOptions options = small_server();
+  options.max_line_bytes = 1024;
+  Server server(options);
+  std::promise<int> port_promise;
+  std::future<int> port_future = port_promise.get_future();
+  std::thread serving([&] {
+    server.serve_tcp(0, [&](int port) { port_promise.set_value(port); });
+  });
+  const int port = port_future.get();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  // A receive timeout turns a daemon that keeps buffering into a failure
+  // instead of a hang.
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  const std::string flood(8192, 'x');
+  EXPECT_EQ(::send(fd, flood.data(), flood.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(flood.size()));
+
+  std::string received;
+  ssize_t got;
+  char chunk[4096];
+  while ((got = ::read(fd, chunk, sizeof chunk)) > 0)
+    received.append(chunk, static_cast<std::size_t>(got));
+  const int read_errno = errno;
+  ::close(fd);
+  const json::Value stats =
+      json::parse(server.handle_line(R"({"id":2,"type":"stats"})"));
+  server.shutdown();
+  serving.join();
+
+  // EOF: neither the 5 s timeout (a daemon still buffering) nor a reset.
+  EXPECT_EQ(got, 0) << "read: " << std::strerror(read_errno);
+  ASSERT_EQ(std::count(received.begin(), received.end(), '\n'), 1)
+      << received;
+  const std::string line = received.substr(0, received.size() - 1);
+  const json::Value v = json::parse(line);
+  EXPECT_FALSE(v.at("ok").as_bool());
+  EXPECT_EQ(v.at("error").at("kind").as_string(), "invalid_input");
+  EXPECT_NE(line.find("request line exceeds 1024 bytes"), std::string::npos)
+      << line;
+  EXPECT_EQ(stats.at("result").at("malformed").as_uint64(), 1u);
 }
 
 // --- session cache: lease fairness ------------------------------------------

@@ -187,47 +187,6 @@ TEST(RunBatch, EmptyRequestListIsFine) {
   EXPECT_TRUE(run_batch({}, {}).empty());
 }
 
-TEST(RunBatch, ExpiredRequestDoesNotCancelNeighbors) {
-  // The daemon path: one request carries its own already-fired token; only
-  // that request aborts, the rest of the batch completes in full.
-  std::vector<SessionRequest> requests;
-  requests.push_back({"bbtas", {small_request()}});
-  SessionRequest doomed;
-  doomed.circuit = "dk27";
-  doomed.cancel_token = std::make_shared<CancelToken>();
-  doomed.cancel_token->cancel("per-request cancel");
-  requests.push_back(doomed);
-  requests.push_back({"paper_example", {small_request()}});
-
-  std::vector<AnalysisSession> batch = run_batch(requests, {.num_threads = 4});
-  ASSERT_EQ(batch.size(), 3u);
-  EXPECT_EQ(batch[1].stats().abort_kind, "cancelled");
-  EXPECT_FALSE(batch[1].stats().aborted_stage.empty());
-  for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
-    SCOPED_TRACE(requests[i].circuit);
-    EXPECT_TRUE(batch[i].stats().aborted_stage.empty());
-    AnalysisSession serial(requests[i].circuit, {.num_threads = 1});
-    EXPECT_EQ(batch[i].worst_case().nmin, serial.worst_case().nmin);
-  }
-}
-
-TEST(RunBatch, PerRequestDeadlineChainsUnderBatchToken) {
-  // A batch-wide cancel must still reach a request that brought its own
-  // deadline (the per-request token chains under the batch token).
-  auto batch_token = std::make_shared<CancelToken>();
-  batch_token->cancel("batch-wide cancel");
-  std::vector<SessionRequest> requests;
-  SessionRequest own_deadline;
-  own_deadline.circuit = "bbtas";
-  own_deadline.deadline_ms = 60'000;  // generous; the batch cancel wins
-  requests.push_back(own_deadline);
-
-  SessionOptions options;
-  options.num_threads = 2;
-  options.cancel_token = batch_token;
-  EXPECT_THROW((void)run_batch(requests, options), Error);
-}
-
 // --- Thread-count convention ------------------------------------------------
 
 TEST(ThreadConvention, ZeroMeansAllHardwareEverywhere) {
