@@ -422,4 +422,12 @@ Circuit resolve_circuit(const std::string& name) {
       "' (expected an FSM benchmark, an embedded circuit, or a .bench path)");
 }
 
+bool is_embedded_circuit(const std::string& name) {
+  for (const FsmBenchmarkInfo& info : fsm_benchmark_suite())
+    if (info.name == name) return true;
+  for (const std::string& lib : combinational_library_names())
+    if (lib == name) return true;
+  return false;
+}
+
 }  // namespace ndet

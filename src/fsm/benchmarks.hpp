@@ -58,6 +58,11 @@ Circuit fsm_benchmark_circuit(const std::string& name,
 /// failure.
 Circuit resolve_circuit(const std::string& name);
 
+/// True when `name` is a suite machine or an embedded combinational
+/// circuit: the names resolve_circuit answers without touching the file
+/// system.
+bool is_embedded_circuit(const std::string& name);
+
 /// Deterministic synthetic machine generator (exposed for tests and
 /// ablations).  For every state the input space is partitioned into
 /// 2^depth cubes over `depth` randomly chosen inputs (depth derived from

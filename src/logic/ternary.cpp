@@ -24,9 +24,11 @@ Ternary invert(Ternary v) {
 }  // namespace
 
 Ternary eval_gate_ternary(GateType type, std::span<const Ternary> fanins) {
-  require(fanins.size() >= static_cast<std::size_t>(min_fanin(type)) &&
-              min_fanin(type) >= 1,
-          "eval_gate_ternary: wrong fanin count for " + to_string(type));
+  if (fanins.size() < static_cast<std::size_t>(min_fanin(type)) ||
+      min_fanin(type) < 1) {
+    throw contract_error("eval_gate_ternary: wrong fanin count for " +
+                         to_string(type));
+  }
   switch (type) {
     case GateType::kBuf:
       return fanins[0];

@@ -674,6 +674,30 @@ struct TcpConn {
   bool write_failed = false;
 };
 
+/// A connection's handler thread.  Handlers close their connection as the
+/// last step before they exit.
+struct Handler {
+  std::shared_ptr<TcpConn> conn;
+  std::thread thread;
+};
+
+/// Joins the handlers whose connection has closed and drops them, so a
+/// long-running daemon keeps threads (and their stack mappings) only for
+/// connections that are still open.
+void reap_closed(std::vector<Handler>& handlers) {
+  for (Handler& handler : handlers) {
+    bool closed = false;
+    {
+      const std::lock_guard<std::mutex> lock(handler.conn->mutex);
+      closed = handler.conn->fd < 0;
+    }
+    if (closed) handler.thread.join();
+  }
+  std::erase_if(handlers, [](const Handler& handler) {
+    return !handler.thread.joinable();
+  });
+}
+
 void write_line(const std::shared_ptr<TcpConn>& conn,
                 const std::string& response) {
   const std::lock_guard<std::mutex> lock(conn->mutex);
@@ -724,9 +748,7 @@ bool Server::serve_tcp(int port, const std::function<void(int)>& ready) {
   listen_fd_.store(fd, std::memory_order_release);
   if (ready) ready(static_cast<int>(ntohs(bound.sin_port)));
 
-  std::vector<std::thread> handlers;
-  std::mutex conns_mutex;
-  std::vector<std::shared_ptr<TcpConn>> conns;  // live + closed (fd = -1)
+  std::vector<Handler> handlers;  // touched by this thread only
 
   while (true) {
     const int client = ::accept(fd, nullptr, nullptr);
@@ -780,12 +802,13 @@ bool Server::serve_tcp(int port, const std::function<void(int)>& ready) {
       continue;
     }
 
+    reap_closed(handlers);
     auto conn = std::make_shared<TcpConn>(client);
-    {
-      const std::lock_guard<std::mutex> lock(conns_mutex);
-      conns.push_back(conn);
-    }
-    handlers.emplace_back([this, conn] {
+    // The entry exists before its thread starts, so a failed allocation
+    // never destroys a running thread.
+    Handler& handler = handlers.emplace_back();
+    handler.conn = conn;
+    handler.thread = std::thread([this, conn] {
       std::string buffer;
       char chunk[4096];
       while (true) {
@@ -844,18 +867,15 @@ bool Server::serve_tcp(int port, const std::function<void(int)>& ready) {
     begin_drain();
     // Wake handler threads blocked in read(): stop reading, keep writing
     // until each connection's in-flight responses are delivered.
-    {
-      const std::lock_guard<std::mutex> lock(conns_mutex);
-      for (const std::shared_ptr<TcpConn>& conn : conns) {
-        // conn->mutex serializes against the handler's close/reset, so the
-        // shutdown can never hit a recycled descriptor.
-        const std::lock_guard<std::mutex> fd_lock(conn->mutex);
-        if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RD);
-      }
+    for (const Handler& handler : handlers) {
+      // conn->mutex serializes against the handler's close/reset, so the
+      // shutdown can never hit a recycled descriptor.
+      const std::lock_guard<std::mutex> fd_lock(handler.conn->mutex);
+      if (handler.conn->fd >= 0) ::shutdown(handler.conn->fd, SHUT_RD);
     }
     clean = wait_drained(options_.drain_ms + 10000);
   }
-  for (std::thread& handler : handlers) handler.join();
+  for (Handler& handler : handlers) handler.thread.join();
   // shutdown() usually closed the fd already; close again is harmless only
   // if we still own it.
   const int owned = listen_fd_.exchange(-1, std::memory_order_acq_rel);

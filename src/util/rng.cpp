@@ -36,17 +36,6 @@ std::uint64_t CounterRng::below_retry(std::uint64_t bound, std::uint64_t c0,
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::uint64_t CounterSequence::in_range(std::uint64_t lo, std::uint64_t hi) {
-  require(lo <= hi, "CounterSequence::in_range: lo must be <= hi");
-  return lo + below(hi - lo + 1);
-}
-
-bool CounterSequence::chance(std::uint64_t numerator,
-                             std::uint64_t denominator) {
-  require(denominator > 0, "CounterSequence::chance: zero denominator");
-  return below(denominator) < numerator;
-}
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : state_) s = splitmix64(sm);

@@ -12,10 +12,7 @@
 //     *addressed* rather than produced by mutating state, so any evaluation
 //     order, shard shape or batch width yields bit-identical values.  This
 //     is what lets Procedure 1 batch its per-set sweeps across faults and
-//     sets (core/procedure1) without changing a single draw.  CounterSequence
-//     keeps the classic sequential draw API (next/below/split) as a thin
-//     adapter over the counter core for callers that do not need explicit
-//     coordinates.
+//     sets (core/procedure1) without changing a single draw.
 //
 //   * Rng -- the legacy sequential engine (xoshiro256** seeded through
 //     splitmix64, with Lemire's unbiased bounded sampling).  The synthetic
@@ -24,7 +21,7 @@
 //     and nmin tails, so its output is pinned: changing it would silently
 //     regenerate every "bbara"/"dvram"/"s1a" into a different circuit and
 //     detach the checked-in BENCH_*.json baselines from their workloads.
-//     New randomized code should use CounterRng/CounterSequence.
+//     New randomized code should use CounterRng.
 
 #pragma once
 
@@ -142,40 +139,6 @@ class CounterRng {
 
   std::uint64_t seed_ = 0;
   std::uint64_t stream_ = 0;
-};
-
-/// Thin adapter keeping the classic sequential draw API (the Rng interface:
-/// next / below / in_range / chance / split) on top of the counter engine.
-/// The n-th next() call returns value(seed, stream, n); split() derives the
-/// child's stream from the next counter value, so -- like Rng::split -- the
-/// children are a pure function of the parent's draw position.
-class CounterSequence {
- public:
-  explicit CounterSequence(std::uint64_t seed, std::uint64_t stream = 0)
-      : core_(seed, stream) {}
-
-  /// Next uniformly distributed 64-bit value.
-  std::uint64_t next() { return core_.value_at(index_++); }
-
-  /// Uniform value in [0, bound); bound must be > 0.  Unbiased.
-  std::uint64_t below(std::uint64_t bound) {
-    return core_.below(bound, index_++);
-  }
-
-  /// Uniform value in [lo, hi] inclusive; requires lo <= hi.
-  std::uint64_t in_range(std::uint64_t lo, std::uint64_t hi);
-
-  /// Bernoulli trial with probability `numerator / denominator`.
-  bool chance(std::uint64_t numerator, std::uint64_t denominator);
-
-  /// Derives an independent child generator on its own stream.
-  CounterSequence split() {
-    return CounterSequence(core_.seed(), next());
-  }
-
- private:
-  CounterRng core_;
-  std::uint64_t index_ = 0;
 };
 
 /// xoshiro256** pseudo random generator with splitmix64 seeding (legacy

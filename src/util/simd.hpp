@@ -7,27 +7,24 @@
 // engine, Procedure 1's batched saturation sweep) shares a single
 // implementation choice:
 //
-//   * kPortable -- plain std::popcount loops, the baseline on every
-//     architecture,
+//   * kPortable -- the plain std::popcount loops below, compiled for the
+//     baseline architecture; the only tier outside x86,
 //   * kAvx2     -- 256-bit AND + nibble-LUT popcount (Mula's vpshufb
 //     algorithm), selected when the CPU supports AVX2,
-//   * kAvx512   -- 512-bit AND + the VPOPCNTDQ per-lane popcount
-//     instruction, selected when the CPU supports AVX-512F/BW/VPOPCNTDQ,
-//   * kNeon     -- 128-bit AND + vcnt/vpaddl popcount, the baseline vector
-//     path on AArch64 (NEON is architecturally guaranteed there).
+//   * kAvx512   -- the same loops as kPortable, compiled a second time
+//     under an AVX-512 target attribute (F/BW/VL/VPOPCNTDQ), where the
+//     compiler vectorizes std::popcount to the per-lane vpopcntq
+//     instruction; selected when the CPU supports all four extensions.
 //
 // The level is resolved exactly once from the environment and the CPU:
 //
-//   * NDET_SIMD_LEVEL=portable|avx2|avx512|neon requests a level by name.
+//   * NDET_SIMD_LEVEL=portable|avx2|avx512 requests a level by name.
 //     Requests degrade gracefully to the best available lower tier (avx512
-//     -> avx2 -> portable; neon -> portable); an empty or unrecognized
-//     value is ignored.
+//     -> avx2 -> portable); an empty or unrecognized value is ignored.
 //
-// Building with -DNDET_DISABLE_AVX2=ON / -DNDET_DISABLE_AVX512=ON compiles
-// the respective vector paths out entirely (the AVX-512 path also requires
-// the AVX2 path to be compiled in).  All kernels compute exact population
-// counts, so results are bit-identical across levels by construction; the
-// randomized suite in tests/pair_kernels_test.cpp pins that.
+// All kernels compute exact population counts, so results are bit-identical
+// across levels by construction; the randomized suite in
+// tests/pair_kernels_test.cpp pins that.
 //
 // Callers with tiny operands (a handful of words, e.g. small-universe
 // circuits) should use the inline wrappers below: under kInlineWordLimit
@@ -50,25 +47,15 @@ using word = std::uint64_t;
 enum class Level : std::uint8_t {
   kPortable = 0,  ///< std::popcount loops; always available
   kAvx2 = 1,      ///< 256-bit AND + vpshufb nibble-LUT popcount
-  kAvx512 = 2,    ///< 512-bit AND + VPOPCNTDQ per-lane popcount
-  kNeon = 3,      ///< 128-bit AND + vcnt/vpaddl popcount (AArch64)
+  kAvx512 = 2,    ///< the portable loops compiled for AVX-512 VPOPCNTDQ
 };
 
-/// Human-readable level name ("portable" / "avx2" / "avx512" / "neon") for
-/// logs, telemetry and benchmarks.
+/// Human-readable level name ("portable" / "avx2" / "avx512") for logs,
+/// telemetry and benchmarks.
 const char* level_name(Level level);
 
-/// True when the AVX2 path was compiled in (x86, not NDET_DISABLE_AVX2).
-bool compiled_with_avx2();
-
-/// True when the AVX-512 path was compiled in (x86, not NDET_DISABLE_AVX512).
-bool compiled_with_avx512();
-
-/// True when the NEON path was compiled in (AArch64 targets).
-bool compiled_with_neon();
-
 /// True when `level` can actually run here: compiled in, supported by this
-/// CPU, and not overridden away by the environment selectors.
+/// CPU, and not overridden away by the environment selector.
 bool level_available(Level level);
 
 /// The level all dispatched kernels currently use.  Resolved once on first
@@ -83,8 +70,8 @@ void set_level_for_testing(Level level);
 /// The pure resolution rule behind active_level(), exposed for unit tests.
 /// `simd_level_env` is the raw NDET_SIMD_LEVEL value (nullptr when unset;
 /// empty or unrecognized values are ignored).  `cpu_has_avx2` /
-/// `cpu_has_avx512` are the runtime CPU feature bits (only honoured when
-/// the corresponding path was compiled in).  Explicit requests degrade to
+/// `cpu_has_avx512` are the runtime CPU feature bits (only honoured on x86,
+/// where the vector tiers are compiled in).  Explicit requests degrade to
 /// the best available lower tier; with no request the best available tier
 /// wins.
 Level resolve_level(const char* simd_level_env, bool cpu_has_avx2,
@@ -107,37 +94,56 @@ struct Kernels {
 /// The table for active_level().
 const Kernels& active_kernels();
 
+/// The word loops behind the portable and AVX-512 tables and the inline
+/// wrappers below.  Always inlined, so each caller compiles them for its
+/// own target: the vector width and popcount instruction come from the
+/// caller's target attributes, the loop is written once.
+namespace loop {
+
+[[gnu::always_inline]] inline std::size_t popcount(const word* a,
+                                                   std::size_t n) {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    total += static_cast<std::size_t>(std::popcount(a[i]));
+  return total;
+}
+
+[[gnu::always_inline]] inline std::size_t and_popcount(const word* a,
+                                                       const word* b,
+                                                       std::size_t n) {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    total += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
+  return total;
+}
+
+[[gnu::always_inline]] inline std::size_t andnot_popcount(const word* a,
+                                                          const word* b,
+                                                          std::size_t n) {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    total += static_cast<std::size_t>(std::popcount(a[i] & ~b[i]));
+  return total;
+}
+
+}  // namespace loop
+
 /// Below this word count the inline portable loop beats the indirect call.
 inline constexpr std::size_t kInlineWordLimit = 8;
 
 inline std::size_t popcount_words(const word* a, std::size_t n) {
-  if (n < kInlineWordLimit) {
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      total += static_cast<std::size_t>(std::popcount(a[i]));
-    return total;
-  }
+  if (n < kInlineWordLimit) return loop::popcount(a, n);
   return active_kernels().popcount(a, n);
 }
 
 inline std::size_t and_popcount(const word* a, const word* b, std::size_t n) {
-  if (n < kInlineWordLimit) {
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      total += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-    return total;
-  }
+  if (n < kInlineWordLimit) return loop::and_popcount(a, b, n);
   return active_kernels().and_popcount(a, b, n);
 }
 
 inline std::size_t andnot_popcount(const word* a, const word* b,
                                    std::size_t n) {
-  if (n < kInlineWordLimit) {
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      total += static_cast<std::size_t>(std::popcount(a[i] & ~b[i]));
-    return total;
-  }
+  if (n < kInlineWordLimit) return loop::andnot_popcount(a, b, n);
   return active_kernels().andnot_popcount(a, b, n);
 }
 

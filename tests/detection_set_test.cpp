@@ -179,9 +179,7 @@ std::vector<std::uint64_t> baseline_nmin(const DetectionDb& dense_db) {
 
 TEST(AnalysisEngine, MatchesSerialDenseBaselineAcrossPoliciesThreadsAndSimd) {
   using testing::ScopedSimdLevel;
-  std::vector<simd::Level> levels = {simd::Level::kPortable};
-  if (simd::level_available(simd::Level::kAvx2))
-    levels.push_back(simd::Level::kAvx2);
+  const std::vector<simd::Level> levels = testing::runnable_levels();
 
   std::size_t machines = 0;
   for (const FsmBenchmarkInfo& info : fsm_benchmark_suite()) {

@@ -2,9 +2,9 @@
 // kernel engine.
 //
 // Two contracts are enforced here:
-//   1. every simd::Kernels entry is an exact population count: the AVX2
-//      table agrees with the portable table on random word arrays of every
-//      alignment-hostile length; and
+//   1. every simd::Kernels entry is an exact population count: every
+//      runnable table agrees with a word-at-a-time std::popcount reference
+//      on random word arrays of every alignment-hostile length; and
 //   2. PairKernelEngine is bit-identical to the scalar DetectionSet
 //      kernels -- nmin_batch against the unpruned nmin_of reference and
 //      intersect_counts against per-pair intersect_count -- across all
@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -38,16 +39,9 @@
 namespace ndet {
 namespace {
 
+using testing::runnable_levels;
 using testing::ScopedSimdLevel;
 using testing::shared_pool;
-
-std::vector<simd::Level> available_levels() {
-  std::vector<simd::Level> levels = {simd::Level::kPortable};
-  for (const simd::Level level :
-       {simd::Level::kAvx2, simd::Level::kAvx512, simd::Level::kNeon})
-    if (simd::level_available(level)) levels.push_back(level);
-  return levels;
-}
 
 Bitset random_bitset(Rng& rng, std::size_t universe,
                      unsigned density_permille) {
@@ -59,45 +53,36 @@ Bitset random_bitset(Rng& rng, std::size_t universe,
 
 // --- dispatch resolution ----------------------------------------------------
 
-// The best level an auto (no-selector) resolution can reach on a given
-// build/CPU combination, mirroring the documented priority.
-simd::Level best_auto(bool cpu_avx2, bool cpu_avx512) {
-  using simd::Level;
-  if (simd::compiled_with_avx512() && cpu_avx512) return Level::kAvx512;
-  if (simd::compiled_with_avx2() && cpu_avx2) return Level::kAvx2;
-  if (simd::compiled_with_neon()) return Level::kNeon;
-  return Level::kPortable;
-}
+// x86 builds always compile both vector tiers; elsewhere only portable runs.
+#if defined(__x86_64__) || defined(__i386__)
+constexpr bool kVectorTiers = true;
+#else
+constexpr bool kVectorTiers = false;
+#endif
 
 TEST(Simd, ResolveLevelSelectorRequestsAndDegradation) {
   using simd::Level;
-  const bool avx2 = simd::compiled_with_avx2();
-  const bool avx512 = simd::compiled_with_avx512();
-  const bool neon = simd::compiled_with_neon();
+  const Level avx512 = kVectorTiers ? Level::kAvx512 : Level::kPortable;
+  const Level avx2 = kVectorTiers ? Level::kAvx2 : Level::kPortable;
 
   // Explicit requests resolve to the level when runnable...
   EXPECT_EQ(simd::resolve_level("portable", true, true), Level::kPortable);
-  EXPECT_EQ(simd::resolve_level("avx2", true, true),
-            avx2 ? Level::kAvx2 : Level::kPortable);
-  EXPECT_EQ(simd::resolve_level("avx512", true, true),
-            avx512 ? Level::kAvx512
-                   : (avx2 ? Level::kAvx2 : Level::kPortable));
-  EXPECT_EQ(simd::resolve_level("neon", true, true),
-            neon ? Level::kNeon : Level::kPortable);
+  EXPECT_EQ(simd::resolve_level("avx2", true, true), avx2);
+  EXPECT_EQ(simd::resolve_level("avx512", true, true), avx512);
 
   // ...and degrade gracefully when the CPU (or build) cannot run them.
-  EXPECT_EQ(simd::resolve_level("avx512", true, false),
-            avx2 ? Level::kAvx2 : Level::kPortable);
+  EXPECT_EQ(simd::resolve_level("avx512", true, false), avx2);
   EXPECT_EQ(simd::resolve_level("avx512", false, false), Level::kPortable);
   EXPECT_EQ(simd::resolve_level("avx2", false, false), Level::kPortable);
 
-  // An unset, empty or unrecognized selector falls through to the auto
-  // rule: the widest tier this build/CPU supports.
-  const char* const fall_through[] = {nullptr, "", "bogus"};
+  // An unset, empty or unrecognized selector -- including the retired
+  // "neon" -- falls through to the auto rule: the widest tier this
+  // build/CPU supports.
+  const char* const fall_through[] = {nullptr, "", "bogus", "neon"};
   for (const char* selector : fall_through) {
-    EXPECT_EQ(simd::resolve_level(selector, true, true), best_auto(true, true));
-    EXPECT_EQ(simd::resolve_level(selector, false, false),
-              best_auto(false, false));
+    EXPECT_EQ(simd::resolve_level(selector, true, true), avx512);
+    EXPECT_EQ(simd::resolve_level(selector, true, false), avx2);
+    EXPECT_EQ(simd::resolve_level(selector, false, false), Level::kPortable);
   }
 }
 
@@ -108,15 +93,6 @@ TEST(Simd, PortableAlwaysAvailableAndActiveLevelRuns) {
   EXPECT_STREQ(simd::level_name(simd::Level::kPortable), "portable");
   EXPECT_STREQ(simd::level_name(simd::Level::kAvx2), "avx2");
   EXPECT_STREQ(simd::level_name(simd::Level::kAvx512), "avx512");
-  EXPECT_STREQ(simd::level_name(simd::Level::kNeon), "neon");
-  // The AVX-512 path builds on the AVX2 path; NEON excludes both.
-  if (simd::compiled_with_avx512()) {
-    EXPECT_TRUE(simd::compiled_with_avx2());
-  }
-  if (simd::compiled_with_neon()) {
-    EXPECT_FALSE(simd::compiled_with_avx2());
-    EXPECT_FALSE(simd::compiled_with_avx512());
-  }
 }
 
 TEST(Simd, KernelTablesAgreeOnAllLengths) {
@@ -133,19 +109,20 @@ TEST(Simd, KernelTablesAgreeOnAllLengths) {
       d[i] = rng.next();
       e[i] = rng.next();
     }
-    // Portable results are the oracle.
+    // The oracle is word-at-a-time std::popcount, independent of the
+    // loops the portable and AVX-512 tables share.
     std::size_t pc = 0, andpc = 0, andnotpc = 0;
     std::uint32_t x4[4] = {0, 0, 0, 0};
-    {
-      const ScopedSimdLevel scope(simd::Level::kPortable);
-      const simd::Kernels& k = simd::active_kernels();
-      pc = k.popcount(a.data(), n);
-      andpc = k.and_popcount(a.data(), b.data(), n);
-      andnotpc = k.andnot_popcount(a.data(), b.data(), n);
-      const simd::word* quad[4] = {b.data(), c.data(), d.data(), e.data()};
-      k.and_popcount_x4(a.data(), quad, n, x4);
+    for (std::size_t i = 0; i < n; ++i) {
+      pc += static_cast<std::size_t>(std::popcount(a[i]));
+      andpc += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
+      andnotpc += static_cast<std::size_t>(std::popcount(a[i] & ~b[i]));
+      x4[0] += static_cast<std::uint32_t>(std::popcount(a[i] & b[i]));
+      x4[1] += static_cast<std::uint32_t>(std::popcount(a[i] & c[i]));
+      x4[2] += static_cast<std::uint32_t>(std::popcount(a[i] & d[i]));
+      x4[3] += static_cast<std::uint32_t>(std::popcount(a[i] & e[i]));
     }
-    for (const simd::Level level : available_levels()) {
+    for (const simd::Level level : runnable_levels()) {
       const ScopedSimdLevel scope(level);
       const simd::Kernels& k = simd::active_kernels();
       EXPECT_EQ(k.popcount(a.data(), n), pc) << n;
@@ -195,7 +172,7 @@ TEST(PairKernels, NminBatchMatchesReferenceAcrossEverything) {
   };
 
   Rng rng(42);
-  for (const simd::Level level : available_levels()) {
+  for (const simd::Level level : runnable_levels()) {
     const ScopedSimdLevel scope(level);
     for (const std::size_t universe : universes) {
       for (const SetRepresentation target_policy : kPolicies) {
@@ -247,7 +224,7 @@ TEST(PairKernels, NminBatchMatchesReferenceAcrossEverything) {
 TEST(PairKernels, IntersectCountsMatchPerPairKernels) {
   Rng rng(7);
   const std::size_t universe = 157;  // odd on purpose
-  for (const simd::Level level : available_levels()) {
+  for (const simd::Level level : runnable_levels()) {
     const ScopedSimdLevel scope(level);
     for (const SetRepresentation policy :
          {SetRepresentation::kAdaptive, SetRepresentation::kSparse}) {
@@ -287,7 +264,7 @@ TEST(PairKernels, SaturationCountsMatchScalarIntersections) {
       {.tile_bytes = 1u << 20, .max_tile_targets = 5,
        .element_threshold = ~std::size_t{0}},
   };
-  for (const simd::Level level : available_levels()) {
+  for (const simd::Level level : runnable_levels()) {
     const ScopedSimdLevel scope(level);
     for (const std::size_t universe : universes) {
       const std::vector<DetectionSet> targets =

@@ -21,6 +21,7 @@
 namespace ndet {
 namespace {
 
+using testing::runnable_levels;
 using testing::shared_pool;
 
 const DetectionDb& paper_db() {
@@ -368,17 +369,6 @@ TEST(Procedure1Parallel, BitIdenticalOnFsmSuiteDefinition2) {
   config.seed = 2005;
   config.definition = DetectionDefinition::kDissimilar;
   check_thread_invariance(db, all_monitored(db), config);
-}
-
-/// SIMD levels that can actually run here (portable always can; vector
-/// tiers only when compiled in, supported by the CPU and not overridden
-/// away by the environment).
-std::vector<simd::Level> runnable_levels() {
-  std::vector<simd::Level> levels = {simd::Level::kPortable};
-  for (const simd::Level level :
-       {simd::Level::kAvx2, simd::Level::kAvx512, simd::Level::kNeon})
-    if (simd::level_available(level)) levels.push_back(level);
-  return levels;
 }
 
 /// Pins the fully serial shape (one thread, one set per batch group) on

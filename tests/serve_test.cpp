@@ -17,6 +17,8 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <future>
 #include <map>
 #include <optional>
@@ -26,6 +28,8 @@
 #include <vector>
 
 #include "core/session.hpp"
+#include "netlist/bench_io.hpp"
+#include "netlist/library.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/session_cache.hpp"
@@ -946,6 +950,86 @@ TEST(Server, TcpUnterminatedLineOverTheCapIsRejected) {
   EXPECT_NE(line.find("request line exceeds 1024 bytes"), std::string::npos)
       << line;
   EXPECT_EQ(stats.at("result").at("malformed").as_uint64(), 1u);
+}
+
+/// Lines of /proc/self/maps.  A thread that has exited but was never
+/// joined keeps its stack mapped, so this counts leaked handler threads.
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST(Server, TcpJoinsFinishedConnectionHandlers) {
+  Server server(small_server());
+  std::promise<int> port_promise;
+  std::future<int> port_future = port_promise.get_future();
+  std::thread serving([&] {
+    server.serve_tcp(0, [&](int port) { port_promise.set_value(port); });
+  });
+  const int port = port_future.get();
+
+  // One ping per connection; the EOF the client reads means the handler
+  // has closed its side.
+  const auto ping_once = [port] {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+              0);
+    const std::string ping = "{\"id\":1,\"type\":\"ping\"}\n";
+    EXPECT_EQ(::write(fd, ping.data(), ping.size()),
+              static_cast<ssize_t>(ping.size()));
+    ::shutdown(fd, SHUT_WR);
+    std::string response;
+    char chunk[256];
+    ssize_t got;
+    while ((got = ::read(fd, chunk, sizeof chunk)) > 0)
+      response.append(chunk, static_cast<std::size_t>(got));
+    ::close(fd);
+    EXPECT_NE(response.find("\"ok\":true"), std::string::npos);
+  };
+
+  // Warm-up: the dispatchers, allocator arenas and a sanitizer runtime's
+  // per-thread state are all mapped after the first few connections.
+  for (int i = 0; i < 16; ++i) ping_once();
+  const std::size_t before = mapping_count();
+  for (int i = 0; i < 256; ++i) ping_once();
+  const std::size_t after = mapping_count();
+  server.shutdown();
+  serving.join();
+
+  // Unjoined handlers would add two mappings (stack + guard page) each.
+  EXPECT_LT(after, before + 64) << before << " -> " << after;
+}
+
+TEST(Server, BenchPathsAreNotServed) {
+  // A served path would let any client make the daemon open and read any
+  // file.  The file is a valid circuit that AnalysisSession still loads.
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("ndet_served_path_" + std::to_string(::getpid()) + ".bench");
+  {
+    std::ofstream out(path);
+    out << write_bench(c17());
+  }
+  EXPECT_EQ(AnalysisSession(path.string()).circuit().input_count(),
+            c17().input_count());
+
+  Server server(small_server());
+  std::optional<ErrorKind> failure;
+  const std::string response = server.handle_line(
+      R"({"id":1,"type":"worst_case","circuit":")" + path.string() + R"("})",
+      &failure);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(failure.has_value()) << response;
+  EXPECT_EQ(*failure, ErrorKind::kInvalidInput);
+  EXPECT_NE(response.find("\"kind\":\"invalid_input\""), std::string::npos)
+      << response;
+  EXPECT_EQ(server.cache().stats().entries, 0u);
 }
 
 // --- session cache: lease fairness ------------------------------------------

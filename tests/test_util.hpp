@@ -30,6 +30,16 @@ class ScopedSimdLevel {
   simd::Level saved_;
 };
 
+/// The SIMD levels that can run here: portable always, each vector tier
+/// when compiled in, supported by the CPU and not overridden away by
+/// NDET_SIMD_LEVEL.
+inline std::vector<simd::Level> runnable_levels() {
+  std::vector<simd::Level> levels = {simd::Level::kPortable};
+  for (const simd::Level level : {simd::Level::kAvx2, simd::Level::kAvx512})
+    if (simd::level_available(level)) levels.push_back(level);
+  return levels;
+}
+
 /// An all-hardware-threads pool for tests that do not vary the pool width
 /// (ThreadPool is fork-join per call, so one shared instance is free).
 inline const ThreadPool& shared_pool() {

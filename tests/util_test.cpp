@@ -349,69 +349,6 @@ TEST(CounterRng, BelowZeroThrows) {
   EXPECT_THROW((void)rng.below(0, 0), contract_error);
 }
 
-TEST(CounterSequence, DeterministicForSameSeed) {
-  CounterSequence a(42), b(42);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
-}
-
-TEST(CounterSequence, NextWalksTheCounter) {
-  CounterSequence s(2005, 6);
-  for (std::uint64_t i = 0; i < 32; ++i)
-    EXPECT_EQ(s.next(), CounterRng::value(2005, 6, i));
-}
-
-TEST(CounterSequence, StreamsAndSeedsDiverge) {
-  CounterSequence a(1, 0), b(2, 0), c(1, 1);
-  int equal_ab = 0, equal_ac = 0;
-  for (int i = 0; i < 64; ++i) {
-    const std::uint64_t va = a.next();
-    if (va == b.next()) ++equal_ab;
-    if (va == c.next()) ++equal_ac;
-  }
-  EXPECT_LT(equal_ab, 4);
-  EXPECT_LT(equal_ac, 4);
-}
-
-TEST(CounterSequence, BoundedDrawsMatchRngContracts) {
-  CounterSequence s(5);
-  for (int i = 0; i < 200; ++i) EXPECT_LT(s.below(31), 31u);
-  for (int i = 0; i < 200; ++i) {
-    const std::uint64_t v = s.in_range(10, 15);
-    EXPECT_GE(v, 10u);
-    EXPECT_LE(v, 15u);
-  }
-  EXPECT_THROW((void)s.below(0), contract_error);
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_FALSE(s.chance(0, 10));
-    EXPECT_TRUE(s.chance(10, 10));
-  }
-}
-
-TEST(CounterSequence, SplitStreamsAreScheduleInvariant) {
-  // Mirror of Rng.SplitStreamsAreScheduleInvariant for the counter
-  // adapter: children depend only on the parent's draw position.
-  CounterSequence master_a(2005), master_b(2005);
-  CounterSequence a0 = master_a.split();
-  CounterSequence a1 = master_a.split();
-  CounterSequence b0 = master_b.split();
-  CounterSequence b1 = master_b.split();
-
-  std::vector<std::uint64_t> seq_a1, seq_b1;
-  for (int i = 0; i < 1000; ++i) (void)a0.below(97);
-  for (int i = 0; i < 64; ++i) seq_a1.push_back(a1.below(1 << 20));
-  for (int i = 0; i < 64; ++i) seq_b1.push_back(b1.below(1 << 20));
-  EXPECT_EQ(seq_a1, seq_b1);
-  (void)b0;
-
-  CounterSequence m(7);
-  CounterSequence s1 = m.split();
-  CounterSequence s2 = m.split();
-  int equal = 0;
-  for (int i = 0; i < 64; ++i)
-    if (s1.next() == s2.next()) ++equal;
-  EXPECT_LT(equal, 4);
-}
-
 TEST(TextTable, RendersAlignedColumns) {
   TextTable table({"circuit", "n"});
   table.add_row({"bbara", "858"});
