@@ -1,6 +1,5 @@
 #include "serve/protocol.hpp"
 
-#include "fsm/benchmarks.hpp"
 #include "util/check.hpp"
 #include "util/json.hpp"
 
@@ -105,12 +104,6 @@ Request parse_request(const std::string& line) {
   request.circuit = root.at("circuit").as_string();
   if (request.circuit.empty())
     throw Error(ErrorKind::kInvalidInput, "circuit must not be empty");
-  // Names only: a served .bench path would let any client make the daemon
-  // open and read any file, /dev/zero included, into memory.
-  if (!is_embedded_circuit(request.circuit))
-    throw Error(ErrorKind::kInvalidInput,
-                "unknown circuit '" + request.circuit +
-                    "' (expected an FSM benchmark or an embedded circuit)");
   request.key.circuit = request.circuit;
   if (const json::Value* v = root.find("deadline_ms"))
     request.deadline_ms = v->as_uint64();

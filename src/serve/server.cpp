@@ -14,6 +14,7 @@
 #include <ostream>
 #include <utility>
 
+#include "fsm/benchmarks.hpp"
 #include "util/check.hpp"
 #include "util/fault_inject.hpp"
 #include "util/json.hpp"
@@ -263,6 +264,13 @@ std::string Server::run_request(const Request& request) {
     return ok_response(request, stats_json(), elapsed_ms_since(start));
   if (request.type == RequestType::kHealth)
     return ok_response(request, health_json(), elapsed_ms_since(start));
+
+  // Names only: a served .bench path would let any client make the daemon
+  // open and read any file, /dev/zero included, into memory.
+  if (!is_embedded_circuit(request.key.circuit))
+    throw Error(ErrorKind::kInvalidInput,
+                "unknown circuit '" + request.key.circuit +
+                    "' (expected an FSM benchmark or an embedded circuit)");
 
   // A fresh token per request: tokens latch and deadlines only tighten, so
   // cached sessions can never reuse one.  Chaining the lifetime token makes

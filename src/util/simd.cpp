@@ -26,10 +26,10 @@ namespace {
 // --- loop-built tiers -------------------------------------------------------
 
 /// out[j] = sum of popcount(t[i] & g[j][i]) for j in [0, 4).
-[[gnu::always_inline]] inline void and_popcount_x4_loop(const word* t,
-                                                        const word* const* g,
-                                                        std::size_t n,
-                                                        std::uint32_t* out) {
+[[gnu::always_inline]] inline void and_popcount_x4(const word* t,
+                                                   const word* const* g,
+                                                   std::size_t n,
+                                                   std::uint32_t* out) {
   word c0 = 0, c1 = 0, c2 = 0, c3 = 0;
   const word* g0 = g[0];
   const word* g1 = g[1];
@@ -46,20 +46,6 @@ namespace {
   out[1] = static_cast<std::uint32_t>(c1);
   out[2] = static_cast<std::uint32_t>(c2);
   out[3] = static_cast<std::uint32_t>(c3);
-}
-
-/// Four words is the FSM suite's universe, where Procedure 1's saturation
-/// sweep makes most of its x4 calls: the constant trip count lets the
-/// compiler lay that case out straight-line instead of running the
-/// vector loop's setup and tail for one short row.
-[[gnu::always_inline]] inline void and_popcount_x4(const word* t,
-                                                   const word* const* g,
-                                                   std::size_t n,
-                                                   std::uint32_t* out) {
-  if (n == 4)
-    and_popcount_x4_loop(t, g, 4, out);
-  else
-    and_popcount_x4_loop(t, g, n, out);
 }
 
 std::size_t portable_popcount(const word* a, std::size_t n) {
@@ -91,8 +77,10 @@ constexpr Kernels kPortableKernels = {
 #if NDET_SIMD_X86
 
 // The AVX-512 tier is the portable table compiled again for F (512-bit
-// registers), BW, VL (the 256-bit forms a four-word row fits) and
+// registers), BW, VL (the 256-bit forms of the vectorized epilogue) and
 // VPOPCNTDQ, under which the compiler vectorizes std::popcount to vpopcntq.
+// GCC does so only at -O3, which src/CMakeLists.txt sets for this file in
+// every optimized configuration.
 #define NDET_AVX512_TARGET "avx512f,avx512bw,avx512vl,avx512vpopcntdq,popcnt"
 
 __attribute__((target(NDET_AVX512_TARGET))) std::size_t avx512_popcount(
