@@ -7,7 +7,6 @@
 #include "util/check.hpp"
 #include "util/fault_inject.hpp"
 #include "util/simd.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ndet {
 
@@ -62,7 +61,6 @@ PairKernelEngine::PairKernelEngine(std::span<const DetectionSet> target_sets,
                           "pair_kernels.pack)", "pair_kernels"));
   universe_ = universe_size;
   words_ = (universe_size + Bitset::kWordBits - 1) / Bitset::kWordBits;
-  family_size_ = target_sets.size();
   // Probe/row break-even: with vectorized word kernels a row pass costs
   // ~words_/4 effective steps, so densifying pays down to much smaller
   // sets; the portable SWAR loops only beat probing once a set is dense
@@ -171,21 +169,6 @@ PairKernelEngine::Operand PairKernelEngine::classify(
   return op;
 }
 
-std::uint32_t PairKernelEngine::pair_count(std::size_t k,
-                                           const Operand& g) const {
-  if (g.words != nullptr) {
-    if (row_offset_[k] == kNoRow) {
-      const std::span<const std::uint32_t> target_elems = elements(k);
-      return gather_count(g.words, target_elems.data(),
-                          static_cast<std::uint32_t>(target_elems.size()));
-    }
-    return static_cast<std::uint32_t>(
-        simd::and_popcount(row(k), g.words, words_));
-  }
-  if (row_offset_[k] != kNoRow) return gather_count(row(k), g.elems, g.size);
-  return merge_count(elements(k), g.elems, g.size);
-}
-
 void PairKernelEngine::nmin_batch(std::span<const DetectionSet> batch,
                                   std::span<std::uint64_t> out,
                                   Scratch& s) const {
@@ -281,20 +264,6 @@ void PairKernelEngine::nmin_batch(std::span<const DetectionSet> batch,
   for (std::size_t b = 0; b < width; ++b) out[b] = s.best[b];
 }
 
-std::size_t PairKernelEngine::tile_of(std::size_t k) const {
-  // Tiles partition the sorted order contiguously; binary-search the one
-  // whose range contains k.
-  std::size_t lo = 0, hi = tiles_.size();
-  while (lo + 1 < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (tiles_[mid].begin <= k)
-      lo = mid;
-    else
-      hi = mid;
-  }
-  return lo;
-}
-
 void PairKernelEngine::saturation_counts(
     std::size_t k, const Bitset::word_type* const* members, std::size_t width,
     std::uint32_t* out) const {
@@ -315,40 +284,6 @@ void PairKernelEngine::saturation_counts(
   const auto elem_count = static_cast<std::uint32_t>(target_elems.size());
   for (std::size_t j = 0; j < width; ++j)
     out[j] = gather_count(members[j], target_elems.data(), elem_count);
-}
-
-
-void PairKernelEngine::intersect_counts_tile(
-    const Tile& tile, const Operand& g,
-    std::span<std::uint32_t> m_out) const {
-  for (std::size_t k = tile.begin; k < tile.end; ++k)
-    m_out[original_[k]] = pair_count(k, g);
-}
-
-void PairKernelEngine::intersect_counts(const DetectionSet& g,
-                                        std::span<std::uint32_t> m_out) const {
-  require(m_out.size() == family_size_,
-          "PairKernelEngine::intersect_counts: output size mismatch");
-  std::vector<Bitset::word_type> staging(words_);
-  const Operand op = classify(g, staging);
-  std::fill(m_out.begin(), m_out.end(), 0u);
-  for (const Tile& tile : tiles_) intersect_counts_tile(tile, op, m_out);
-}
-
-void PairKernelEngine::intersect_counts(const DetectionSet& g,
-                                        std::span<std::uint32_t> m_out,
-                                        const ThreadPool& pool,
-                                        const CancelToken* cancel) const {
-  require(m_out.size() == family_size_,
-          "PairKernelEngine::intersect_counts: output size mismatch");
-  std::vector<Bitset::word_type> staging(words_);
-  const Operand op = classify(g, staging);
-  std::fill(m_out.begin(), m_out.end(), 0u);
-  // Tiles write disjoint m_out slots, so the shard is deterministic.
-  pool.for_each_index(tiles_.size(), [&](std::size_t t, unsigned) {
-    intersect_counts_tile(tiles_[t], op, m_out);
-  }, cancel);
-  check_cancel(cancel, "pair_kernels");
 }
 
 }  // namespace ndet

@@ -55,12 +55,9 @@
 #include <vector>
 
 #include "util/bitset.hpp"
-#include "util/cancel.hpp"
 #include "util/detection_set.hpp"
 
 namespace ndet {
-
-class ThreadPool;
 
 /// Batched pairwise-kernel engine over one frozen target family.
 class PairKernelEngine {
@@ -100,7 +97,7 @@ class PairKernelEngine {
   /// Targets that survived the detectability filter, in N(f) order.
   std::size_t detectable_targets() const { return n_f_.size(); }
 
-  /// Number of packed tiles (exposed for tests and the pool sharding).
+  /// Number of packed tiles.
   std::size_t tile_count() const { return tiles_.size(); }
 
   /// N(f) of sorted target k (ascending in k).
@@ -116,9 +113,6 @@ class PairKernelEngine {
   std::pair<std::uint32_t, std::uint32_t> tile_range(std::size_t t) const {
     return {tiles_[t].begin, tiles_[t].end};
   }
-
-  /// Tile index of sorted target k (tiles partition [0, detectable)).
-  std::size_t tile_of(std::size_t k) const;
 
   /// Batched saturation counts against DENSE word operands: out[j] =
   /// |T(sorted target k) n members[j]| for j in [0, width), each members[j]
@@ -147,19 +141,6 @@ class PairKernelEngine {
   /// out.size(); every set must live over the engine's universe.
   void nmin_batch(std::span<const DetectionSet> batch,
                   std::span<std::uint64_t> out, Scratch& scratch) const;
-
-  /// The unpruned drill-down kernel behind overlap_entries: m_out[i] =
-  /// M(g, target i) indexed by the ORIGINAL target position (zero for
-  /// empty targets).  m_out.size() must equal the original family size.
-  void intersect_counts(const DetectionSet& g,
-                        std::span<std::uint32_t> m_out) const;
-
-  /// Same, with the tiles sharded across a caller-owned pool.  A non-null
-  /// `cancel` is polled between tile claims; a fired token raises Error
-  /// with stage "pair_kernels".
-  void intersect_counts(const DetectionSet& g, std::span<std::uint32_t> m_out,
-                        const ThreadPool& pool,
-                        const CancelToken* cancel = nullptr) const;
 
  private:
   /// One tile: a contiguous range [begin, end) of the N(f)-sorted order.
@@ -197,15 +178,8 @@ class PairKernelEngine {
   Operand classify(const DetectionSet& g,
                    std::span<Bitset::word_type> staging_row) const;
 
-  /// M(g, sorted target k) for one classified operand.
-  std::uint32_t pair_count(std::size_t k, const Operand& g) const;
-
-  void intersect_counts_tile(const Tile& tile, const Operand& g,
-                             std::span<std::uint32_t> m_out) const;
-
   std::size_t universe_ = 0;
   std::size_t words_ = 0;                ///< universe words per dense row
-  std::size_t family_size_ = 0;          ///< original target family size
   std::size_t element_threshold_ = 0;    ///< probe/row break-even in elements
   std::vector<std::uint32_t> n_f_;       ///< N(f), ascending
   std::vector<std::uint32_t> original_;  ///< sorted k -> original index

@@ -109,21 +109,17 @@ WorstCaseResult analyze_worst_case(const DetectionDb& db,
 }
 
 std::vector<OverlapEntry> overlap_entries(const DetectionDb& db,
-                                          std::size_t untargeted_index,
-                                          const ThreadPool& pool) {
+                                          std::size_t untargeted_index) {
   require(untargeted_index < db.untargeted().size(),
           "overlap_entries: untargeted fault index out of range");
   const DetectionSet& tg = db.untargeted_sets()[untargeted_index];
   const std::span<const DetectionSet> target_sets = db.target_sets();
-  const PairKernelEngine engine(target_sets,
-                                static_cast<std::size_t>(db.vector_count()));
-  std::vector<std::uint32_t> m(target_sets.size());
-  engine.intersect_counts(tg, m, pool);
   std::vector<OverlapEntry> entries;
   for (std::size_t i = 0; i < target_sets.size(); ++i) {
-    if (m[i] == 0) continue;
+    const std::size_t m = target_sets[i].intersect_count(tg);
+    if (m == 0) continue;
     const std::size_t n_f = target_sets[i].count();
-    entries.push_back({i, n_f, m[i], n_f - m[i] + 1});
+    entries.push_back({i, n_f, m, n_f - m + 1});
   }
   return entries;
 }

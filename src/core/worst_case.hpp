@@ -96,14 +96,11 @@ struct OverlapEntry {
   std::size_t m_gf;          ///< M(g,f) = |T(f) n T(g)|
   std::uint64_t nmin_gf;     ///< N - M + 1
 };
-/// The engine's tiles shard across the caller-owned pool.  Note: each call
-/// packs a fresh pair-kernel engine over the target family (cost
-/// comparable to one unpruned scan) -- fine for the few-shot CLI
-/// drill-downs this serves; tight loops over many faults should use
-/// analyze_worst_case or drive PairKernelEngine::intersect_counts
-/// directly on one engine.
+/// Entries come in target order, from one serial scan with
+/// DetectionSet::intersect_count, as nmin_of computes them -- one unpruned
+/// pass over the target family per call, which suits the few-shot CLI
+/// drill-downs this serves; the whole-G sweep is analyze_worst_case.
 std::vector<OverlapEntry> overlap_entries(const DetectionDb& db,
-                                          std::size_t untargeted_index,
-                                          const ThreadPool& pool);
+                                          std::size_t untargeted_index);
 
 }  // namespace ndet

@@ -4,10 +4,6 @@
 
 namespace ndet::serve {
 
-const char* to_string(Priority priority) {
-  return priority == Priority::kBatch ? "batch" : "interactive";
-}
-
 AdmissionQueue::AdmissionQueue(std::size_t max_depth, std::size_t max_bytes)
     : max_depth_(max_depth), max_bytes_(max_bytes) {}
 
@@ -21,7 +17,7 @@ bool AdmissionQueue::offer(AdmittedLine& line,
                            std::vector<AdmittedLine>* displaced) {
   std::unique_lock<std::mutex> lock(mutex_);
   auto shed_offer = [&]() {
-    if (line.priority == Priority::kInteractive)
+    if (line.request.priority == Priority::kInteractive)
       ++stats_.shed_interactive;
     else
       ++stats_.shed_batch;
@@ -33,27 +29,26 @@ bool AdmissionQueue::offer(AdmittedLine& line,
   // Priority-honoring displacement: an interactive offer that does not fit
   // evicts the NEWEST batch entries until it does (reject-newest within
   // the lane that loses).  Batch offers never displace anything.
-  while (!fits_locked(line.line.size()) &&
-         line.priority == Priority::kInteractive && !batch_.empty()) {
+  while (!fits_locked(line.bytes) &&
+         line.request.priority == Priority::kInteractive && !batch_.empty()) {
     AdmittedLine victim = std::move(batch_.back());
     batch_.pop_back();
     --stats_.depth;
-    stats_.bytes -= victim.line.size();
+    stats_.bytes -= victim.bytes;
     ++stats_.displaced;
     ++stats_.shed_batch;
     if (displaced != nullptr) displaced->push_back(std::move(victim));
   }
-  if (!fits_locked(line.line.size())) {
+  if (!fits_locked(line.bytes)) {
     shed_offer();
     return false;
   }
-  line.sequence = ++sequence_;
   line.enqueued_at = std::chrono::steady_clock::now();
   ++stats_.depth;
-  stats_.bytes += line.line.size();
+  stats_.bytes += line.bytes;
   stats_.peak_depth = std::max(stats_.peak_depth, stats_.depth);
   ++stats_.admitted;
-  (line.priority == Priority::kInteractive ? interactive_ : batch_)
+  (line.request.priority == Priority::kInteractive ? interactive_ : batch_)
       .push_back(std::move(line));
   lock.unlock();
   ready_.notify_one();
@@ -71,19 +66,7 @@ bool AdmissionQueue::pop(AdmittedLine& out) {
   out = std::move(lane.front());
   lane.pop_front();
   --stats_.depth;
-  stats_.bytes -= out.line.size();
-  return true;
-}
-
-bool AdmissionQueue::try_pop(AdmittedLine& out) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::deque<AdmittedLine>& lane =
-      !interactive_.empty() ? interactive_ : batch_;
-  if (lane.empty()) return false;
-  out = std::move(lane.front());
-  lane.pop_front();
-  --stats_.depth;
-  stats_.bytes -= out.line.size();
+  stats_.bytes -= out.bytes;
   return true;
 }
 
@@ -93,11 +76,6 @@ void AdmissionQueue::close() {
     closed_ = true;
   }
   ready_.notify_all();
-}
-
-bool AdmissionQueue::closed() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return closed_;
 }
 
 AdmissionStats AdmissionQueue::stats() const {

@@ -29,6 +29,11 @@
 // is accepted by design and documented (DESIGN.md "Overload and
 // lifecycle").
 //
+// Lines are parsed once, before they are offered: the queue holds parsed
+// requests, so a malformed or over-cap line is answered by the caller and
+// never takes queue room, and the dispatcher serves what it pops without
+// parsing again.
+//
 // Concurrency: one mutex, two condition-free lanes (offers never block --
 // admission control means telling the client NOW, not making it wait);
 // pop() blocks dispatchers until work or close().
@@ -45,25 +50,16 @@
 #include <string>
 #include <vector>
 
+#include "serve/protocol.hpp"
+
 namespace ndet::serve {
-
-/// The protocol's two-level request priority.  `interactive` is the
-/// default: cheap, latency-sensitive work (stats, health, small analyses).
-/// Heavy worst-case sweeps should declare `"priority":"batch"`.
-enum class Priority { kInteractive = 0, kBatch = 1 };
-
-/// Stable wire name ("interactive" / "batch").
-const char* to_string(Priority priority);
 
 /// One admitted request line.  `respond` delivers the response line to the
 /// line's transport and MUST be invoked exactly once per line -- the
 /// exactly-one-response invariant the chaos suite asserts.
 struct AdmittedLine {
-  std::string line;
-  Priority priority = Priority::kInteractive;
-  std::uint64_t id = 0;       ///< parsed request id (0 when unparseable)
-  std::string type_name;      ///< parsed request type ("unknown" otherwise)
-  std::uint64_t sequence = 0; ///< admission order, assigned by offer()
+  Request request;         ///< the line, parsed at admission
+  std::size_t bytes = 0;   ///< the line's length, charged to the byte bound
   std::chrono::steady_clock::time_point enqueued_at;
   std::function<void(std::string&&)> respond;
 };
@@ -83,7 +79,7 @@ struct AdmissionStats {
 class AdmissionQueue {
  public:
   /// `max_depth` bounds queued lines, `max_bytes` bounds their summed
-  /// sizes (0 = unbounded for either).
+  /// byte counts (0 = unbounded for either).
   AdmissionQueue(std::size_t max_depth, std::size_t max_bytes);
 
   AdmissionQueue(const AdmissionQueue&) = delete;
@@ -102,14 +98,9 @@ class AdmissionQueue {
   /// a lane) or the queue is closed and empty; false on the latter.
   bool pop(AdmittedLine& out);
 
-  /// Non-blocking pop for drain loops; false when empty.
-  bool try_pop(AdmittedLine& out);
-
   /// Stops admission and wakes every blocked pop().  Already-queued lines
   /// still pop: close() starts the drain, it does not drop work.
   void close();
-
-  bool closed() const;
 
   AdmissionStats stats() const;
 
@@ -128,7 +119,6 @@ class AdmissionQueue {
   std::deque<AdmittedLine> interactive_;
   std::deque<AdmittedLine> batch_;
   AdmissionStats stats_;
-  std::uint64_t sequence_ = 0;
   bool closed_ = false;
 };
 

@@ -1,13 +1,15 @@
 // ndetd -- the analysis-as-a-service daemon.
 //
-// Speaks the line-delimited JSON protocol (serve/protocol.hpp) over
-// stdin/stdout by default, or a loopback TCP socket with --listen=PORT.
-// Requests are dispatched concurrently (--concurrency dispatcher threads)
-// onto cached AnalysisSessions bounded by the --cache-bytes LRU budget.
-// Admission is bounded (--queue-depth / --queue-bytes) with priority-laned
-// shedding, and TCP clients are capped by --max-connections.
+// Speaks the line-delimited JSON protocol (serve/protocol.hpp) over a
+// loopback TCP socket (--listen=PORT), or answers one request line from
+// stdin (--oneshot); one of the two is required.  Requests are dispatched
+// concurrently (--concurrency dispatcher threads) onto cached
+// AnalysisSessions bounded by the --cache-bytes LRU budget.  Admission is
+// bounded (--queue-depth / --queue-bytes) with priority-laned shedding,
+// and TCP clients are capped by --max-connections.
 //
-//   echo '{"id":1,"type":"worst_case","circuit":"bbtas"}' | ndetd
+//   ndetd --listen=0   # prints "ndetd: listening on 127.0.0.1:PORT"
+//   echo '{"id":1,"type":"worst_case","circuit":"bbtas"}' | ndetd --oneshot
 //
 // Lifecycle (documented in README "Serving" and DESIGN.md "Overload and
 // lifecycle"): the FIRST SIGTERM or SIGINT requests a graceful drain --
@@ -29,6 +31,7 @@
 #include <unistd.h>
 
 #include "serve/server.hpp"
+#include "util/check.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -74,6 +77,9 @@ int main(int argc, char** argv) {
                        {"cache-bytes", "concurrency", "threads", "listen",
                         "oneshot", "max-line-bytes", "queue-depth",
                         "queue-bytes", "max-connections", "drain-ms"});
+    require(args.has("listen") || args.has("oneshot"),
+            "ndetd: pass --listen=PORT to serve over TCP or --oneshot to "
+            "answer one request line from stdin");
     serve::ServerOptions options;
     options.cache_bytes = static_cast<std::size_t>(
         args.get_u64("cache-bytes", options.cache_bytes));
@@ -104,16 +110,11 @@ int main(int argc, char** argv) {
     g_server.store(&server, std::memory_order_release);
     install_signal_handlers();
 
-    bool clean = true;
-    if (args.has("listen")) {
-      const int port = static_cast<int>(args.get_u64("listen", 0));
-      clean = server.serve_tcp(port, [](int bound) {
-        // Advertised on stderr so stdout stays pure protocol.
-        std::cerr << "ndetd: listening on 127.0.0.1:" << bound << std::endl;
-      });
-    } else {
-      clean = server.serve_stream(std::cin, std::cout);
-    }
+    const int port = static_cast<int>(args.get_u64("listen", 0));
+    const bool clean = server.serve_tcp(port, [](int bound) {
+      // Advertised on stderr so stdout stays pure protocol.
+      std::cerr << "ndetd: listening on 127.0.0.1:" << bound << std::endl;
+    });
     // Cleared while the handlers stay installed: a late signal loads null
     // (atomically) and just counts toward the hard kill.  `server` outlives
     // this store, so a handler that loaded the pointer just before it still

@@ -47,7 +47,6 @@
 #include <string_view>
 
 #include "core/session.hpp"
-#include "serve/admission.hpp"
 #include "serve/session_cache.hpp"
 #include "util/cancel.hpp"
 

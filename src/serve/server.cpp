@@ -10,8 +10,6 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
-#include <istream>
-#include <ostream>
 #include <utility>
 
 #include "fsm/benchmarks.hpp"
@@ -51,31 +49,30 @@ std::chrono::steady_clock::time_point from_ns(std::int64_t ns) {
   return std::chrono::steady_clock::time_point(std::chrono::nanoseconds(ns));
 }
 
-/// Best-effort "who is this line" peek for admission and shed responses:
-/// a full parse when the line is well-formed, benign defaults otherwise
-/// (a malformed line still flows through the queue so the dispatcher can
-/// produce its typed parse error).
-struct LinePeek {
+/// The error reply to a line that did not parse.  It echoes what the line
+/// says about itself, so a pipelining client can match the reply: a JSON
+/// object's "type" when that names a request type, and its "id" when that
+/// is a non-negative integer; "unknown" and 0 otherwise.
+std::string rejected_line_response(const std::string& line, const Error& e,
+                                   double elapsed_ms) {
   std::uint64_t id = 0;
-  std::string type_name = "unknown";
-  RequestType type = RequestType::kPing;
-  Priority priority = Priority::kInteractive;
-  bool parsed = false;
-};
-
-LinePeek peek_line(const std::string& line) {
-  LinePeek peek;
+  const char* type_name = "unknown";
   try {
-    const Request request = parse_request(line);
-    peek.id = request.id;
-    peek.type_name = to_string(request.type);
-    peek.type = request.type;
-    peek.priority = request.priority;
-    peek.parsed = true;
-  } catch (const std::exception&) {
-    // Malformed: admitted as interactive so the error response is prompt.
+    const json::Value root = json::parse(line);
+    if (root.is_object()) {
+      const json::Value* type = root.find("type");
+      if (type != nullptr && type->is_string())
+        for (std::size_t t = 0; t < kNumRequestTypes; ++t)
+          if (type->as_string() == to_string(static_cast<RequestType>(t)))
+            type_name = to_string(static_cast<RequestType>(t));
+      if (const json::Value* id_value = root.find("id"))
+        id = id_value->as_uint64();
+    }
+  } catch (const Error&) {
+    // Not JSON, or an id that is not a non-negative integer: echo what was
+    // read.
   }
-  return peek;
+  return error_response(id, type_name, e, elapsed_ms);
 }
 
 bool is_control_type(RequestType type) {
@@ -182,17 +179,31 @@ bool Server::overloaded() const {
 
 std::string Server::handle_line(const std::string& line,
                                 std::optional<ErrorKind>* failure) {
-  return process_line(line, failure, /*admitted_before_drain=*/false);
+  if (failure) failure->reset();
+  Request request;
+  std::string reply;
+  if (!parse_line(line, request, reply)) {
+    if (failure) *failure = ErrorKind::kInvalidInput;
+    return reply;
+  }
+  // Drain mode: analysis work is shed (the control types stay answerable
+  // so load balancers observe the state).
+  if (!is_control_type(request.type) && state() != ServerState::kServing) {
+    if (failure) *failure = ErrorKind::kResourceExhausted;
+    TypeCounters& counters = counters_for(request.type);
+    counters.requests.fetch_add(1, std::memory_order_relaxed);
+    counters.errors.fetch_add(1, std::memory_order_relaxed);
+    return shed_response(request.id, to_string(request.type),
+                         "server draining: not admitting new analysis work",
+                         retry_after_hint_ms());
+  }
+  return serve(request, failure);
 }
 
-std::string Server::process_line(const std::string& line,
-                                 std::optional<ErrorKind>* failure,
-                                 bool admitted_before_drain) {
+bool Server::parse_line(const std::string& line, Request& request,
+                        std::string& reply) {
   const auto start = std::chrono::steady_clock::now();
   accepted_.fetch_add(1, std::memory_order_relaxed);
-  if (failure) failure->reset();
-
-  Request request;
   try {
     if (line.size() > options_.max_line_bytes)
       throw Error(ErrorKind::kInvalidInput,
@@ -202,25 +213,21 @@ std::string Server::process_line(const std::string& line,
                 throw Error(ErrorKind::kInvalidInput,
                             "injected parse fault (site serve.parse)"));
     request = parse_request(line);
+    return true;
   } catch (const Error& e) {
     malformed_.fetch_add(1, std::memory_order_relaxed);
-    if (failure) *failure = e.kind();
-    return error_response(0, "unknown", e, elapsed_ms_since(start));
+    // The cap keeps an oversized line cheap: it is not parsed for the echo
+    // either.
+    reply = line.size() > options_.max_line_bytes
+                ? error_response(0, "unknown", e, elapsed_ms_since(start))
+                : rejected_line_response(line, e, elapsed_ms_since(start));
+    return false;
   }
+}
 
-  // Drain mode: lines not admitted before the drain began are shed (the
-  // control types stay answerable so load balancers observe the state).
-  if (!admitted_before_drain && !is_control_type(request.type) &&
-      state() != ServerState::kServing) {
-    if (failure) *failure = ErrorKind::kResourceExhausted;
-    TypeCounters& shed_counters = counters_for(request.type);
-    shed_counters.requests.fetch_add(1, std::memory_order_relaxed);
-    shed_counters.errors.fetch_add(1, std::memory_order_relaxed);
-    return shed_response(request.id, to_string(request.type),
-                         "server draining: not admitting new analysis work",
-                         retry_after_hint_ms());
-  }
-
+std::string Server::serve(const Request& request,
+                          std::optional<ErrorKind>* failure) {
+  const auto start = std::chrono::steady_clock::now();
   TypeCounters& counters = counters_for(request.type);
   TypeCounters& priority_counters =
       by_priority_[static_cast<std::size_t>(request.priority)];
@@ -361,20 +368,25 @@ Server::Responder Server::track(Responder respond) {
   };
 }
 
-bool Server::submit(std::string line, Responder respond) {
+bool Server::submit(const std::string& line, Responder respond) {
   Responder tracked = track(std::move(respond));
-  const LinePeek peek = peek_line(line);
+  AdmittedLine admitted;
+  std::string reply;
+  if (!parse_line(line, admitted.request, reply)) {
+    tracked(std::move(reply));
+    return false;
+  }
+  const Request& request = admitted.request;
 
   // Control requests never queue: ping/stats/health must stay answerable
   // under overload and during drain (the whole point of a health probe).
-  if (peek.parsed && is_control_type(peek.type)) {
-    tracked(handle_line(line));
+  if (is_control_type(request.type)) {
+    tracked(serve(request, nullptr));
     return false;
   }
 
   if (state() != ServerState::kServing) {
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    tracked(shed_response(peek.id, peek.type_name,
+    tracked(shed_response(request.id, to_string(request.type),
                           "server draining: not admitting new analysis work",
                           retry_after_hint_ms()));
     return false;
@@ -384,27 +396,20 @@ bool Server::submit(std::string line, Responder respond) {
   NDET_INJECT("serve.queue_full", injected_full = true);
 
   ensure_dispatchers();
-  AdmittedLine admitted;
-  admitted.line = std::move(line);
-  admitted.priority = peek.priority;
-  admitted.id = peek.id;
-  admitted.type_name = peek.type_name;
+  admitted.bytes = line.size();
   admitted.respond = std::move(tracked);
-
   std::vector<AdmittedLine> displaced;
   const bool entered = !injected_full && queue_.offer(admitted, &displaced);
   for (AdmittedLine& victim : displaced) {
-    accepted_.fetch_add(1, std::memory_order_relaxed);
     victim.respond(shed_response(
-        victim.id, victim.type_name,
+        victim.request.id, to_string(victim.request.type),
         "shed: displaced by interactive work under overload",
         retry_after_hint_ms()));
   }
   if (!entered) {
     // Rejected offers leave `admitted` intact, responder included.
-    accepted_.fetch_add(1, std::memory_order_relaxed);
     admitted.respond(shed_response(
-        admitted.id, admitted.type_name,
+        admitted.request.id, to_string(admitted.request.type),
         "admission queue full: request shed", retry_after_hint_ms()));
     return false;
   }
@@ -422,11 +427,7 @@ void Server::ensure_dispatchers() {
 
 void Server::dispatch_loop() {
   AdmittedLine item;
-  while (queue_.pop(item)) {
-    std::string response =
-        process_line(item.line, nullptr, /*admitted_before_drain=*/true);
-    item.respond(std::move(response));
-  }
+  while (queue_.pop(item)) item.respond(serve(item.request, nullptr));
 }
 
 void Server::stop_dispatchers() {
@@ -602,68 +603,7 @@ std::string Server::stats_json() const {
   return w.str();
 }
 
-// --- transports -------------------------------------------------------------
-
-namespace {
-
-/// Shared write state for the stream transport: responders hold it by
-/// shared_ptr, so they stay safe to invoke even after serve_stream has
-/// returned (the drain-timeout exit-1 path leaves queued lines whose
-/// Cancelled responses are delivered later, during ~Server).  `out` is
-/// nulled when serve_stream abandons the caller's stream.
-struct StreamSink {
-  explicit StreamSink(std::ostream& out_in) : out(&out_in) {}
-  std::mutex mutex;
-  std::ostream* out;  ///< guarded by mutex; null once abandoned
-};
-
-}  // namespace
-
-bool Server::serve_stream(std::istream& in, std::ostream& out) {
-  auto sink = std::make_shared<StreamSink>(out);
-  auto emit = [sink](std::string&& response) {
-    const std::lock_guard<std::mutex> lock(sink->mutex);
-    if (sink->out == nullptr) return;  // stream abandoned after drain timeout
-    *sink->out << response << '\n';
-    sink->out->flush();  // responses must reach the pipe before the next request
-  };
-
-  std::string line;
-  while (!drain_requested() && std::getline(in, line)) {
-    if (line.empty()) continue;  // blank lines are keepalives, not requests
-    bool dropped = false;
-    NDET_INJECT("serve.accept", {
-      // Simulated failed read: the request is lost at the acceptor; the
-      // client sees a typed internal error instead of silence.
-      const Error injected(ErrorKind::kInternal,
-                           "injected accept fault (site serve.accept)");
-      emit(error_response(0, "unknown", injected, 0.0));
-      dropped = true;
-    });
-    if (dropped) continue;
-    (void)submit(std::move(line), emit);
-    line.clear();
-    if (is_cancelled(lifetime_.get())) break;
-  }
-
-  if (drain_requested()) {
-    begin_drain();
-    // The drain budget bounds in-flight work; cancellation latency is one
-    // fork-join body, so a short grace period after the budget suffices.
-    const bool clean = wait_drained(options_.drain_ms + 10000);
-    if (!clean) {
-      // Work is still owed (the exit-1 path): the caller's stream must not
-      // be touched once we return, so detach it -- the straggling
-      // responders become no-ops that still settle the pending count.
-      const std::lock_guard<std::mutex> lock(sink->mutex);
-      sink->out = nullptr;
-    }
-    return clean;
-  }
-  // Plain EOF: no deadline is forced on in-flight work; wait for every
-  // admitted line's response, then stop.
-  return wait_drained(0);
-}
+// --- TCP transport ----------------------------------------------------------
 
 namespace {
 
@@ -836,7 +776,7 @@ bool Server::serve_tcp(int port, const std::function<void(int)>& ready) {
             const std::lock_guard<std::mutex> lock(conn->mutex);
             ++conn->outstanding;
           }
-          (void)submit(std::move(line), [conn](std::string&& response) {
+          (void)submit(line, [conn](std::string&& response) {
             write_line(conn, response);
             const std::lock_guard<std::mutex> lock(conn->mutex);
             if (--conn->outstanding == 0) conn->all_done.notify_all();

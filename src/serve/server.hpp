@@ -6,14 +6,16 @@
 //
 //   acceptor --> admission queue --> dispatchers --> session cache --> pool
 //
-// ACCEPTOR threads (stdin reader or TCP connection handlers) submit()
-// request lines; admission is bounded by depth and bytes with an explicit
-// priority-laned shedding policy (serve/admission.hpp): a line either
-// enters the queue or gets a typed ResourceExhausted response carrying a
-// `retry_after_ms` hint -- never a silent drop.  `concurrency` DISPATCHER
-// threads drain the queue interactive-lane-first, each running
-// handle_line() -- parse, lease the circuit's cached session, run the
-// requested stage, respond through the line's transport responder.
+// ACCEPTOR threads (one per TCP connection) submit() request lines.
+// submit() parses each line once: a line that does not parse, or exceeds
+// the line cap, is answered at once and never queued.  Admission of parsed
+// requests is bounded by depth and bytes with an explicit priority-laned
+// shedding policy (serve/admission.hpp): a request either enters the queue
+// or gets a typed ResourceExhausted response carrying a `retry_after_ms`
+// hint -- never a silent drop.  `concurrency` DISPATCHER threads drain the
+// queue interactive-lane-first, each serving the parsed request -- lease
+// the circuit's cached session, run the requested stage, respond through
+// the line's transport responder.
 // Requests for different circuits run concurrently; requests for the same
 // cache key serialize on the entry's lease (interactive acquires first).
 // The thread-width budget is split so the machine is never oversubscribed:
@@ -40,7 +42,7 @@
 //
 // handle_line() is synchronous and thread-safe, so embedders (tests, the
 // --oneshot path) can drive the server without any I/O plumbing; submit()
-// is the admission-controlled path the transports use.
+// is the admission-controlled path the TCP transport uses.
 
 #pragma once
 
@@ -50,7 +52,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -122,19 +123,16 @@ class Server {
   std::string handle_line(const std::string& line,
                           std::optional<ErrorKind>* failure = nullptr);
 
-  /// The admission-controlled path: sheds when the queue is full (typed
-  /// ResourceExhausted + retry_after_ms, priority-honoring displacement)
-  /// or the server is draining; otherwise enqueues for the dispatcher
-  /// pool.  `respond` is invoked exactly once -- synchronously for sheds
-  /// and for ping/stats/health (which must stay answerable under
-  /// overload), later on a dispatcher thread otherwise.  Returns true when
-  /// the line was admitted to the queue (false = answered synchronously).
-  bool submit(std::string line, Responder respond);
-
-  /// Acceptor + dispatcher loop over a stream pair; returns at EOF (after
-  /// all responses are flushed) or after request_drain().  False when a
-  /// drain timed out with work still un-responded.
-  bool serve_stream(std::istream& in, std::ostream& out);
+  /// The admission-controlled path.  Parses the line once, then answers
+  /// it synchronously when it does not parse (invalid_input), is a
+  /// ping/stats/health request (which must stay answerable under
+  /// overload), or is shed -- the queue is full (typed ResourceExhausted +
+  /// retry_after_ms, priority-honoring displacement) or the server is
+  /// draining; otherwise enqueues the parsed request for the dispatcher
+  /// pool, which responds later on a dispatcher thread.  `respond` is
+  /// invoked exactly once.  Returns true when the request was admitted to
+  /// the queue (false = answered synchronously).
+  bool submit(const std::string& line, Responder respond);
 
   /// TCP listener on 127.0.0.1:`port` (0 = ephemeral); `ready` is invoked
   /// with the bound port before accepting.  One connection handler thread
@@ -144,8 +142,8 @@ class Server {
   /// drain; false when the drain timed out.
   bool serve_tcp(int port, const std::function<void(int)>& ready = {});
 
-  /// Async-signal-safe drain trigger (one atomic store): the transport
-  /// loops observe it and run begin_drain().  SIGTERM/SIGINT handlers call
+  /// Async-signal-safe drain trigger (one atomic store): the TCP accept
+  /// loop observes it and runs begin_drain().  SIGTERM/SIGINT handlers call
   /// this.
   void request_drain() { drain_requested_.store(true, std::memory_order_release); }
 
@@ -201,16 +199,23 @@ class Server {
     LatencyHistogram latency;
   };
 
-  std::string process_line(const std::string& line,
-                           std::optional<ErrorKind>* failure,
-                           bool admitted_before_drain);
+  /// The one parse of a line: counts it accepted, checks the line cap and
+  /// parses it into `request`.  Returns false, with the invalid_input reply
+  /// in `reply` and the line counted malformed, when it does not parse.
+  bool parse_line(const std::string& line, Request& request,
+                  std::string& reply);
+  /// Serves a parsed request and returns its reply: per-type and
+  /// per-priority counters, latency and the service-time EWMA around
+  /// run_request.  A non-null `failure` receives the error kind of a
+  /// failed request.
+  std::string serve(const Request& request, std::optional<ErrorKind>* failure);
   std::string run_request(const Request& request);
   TypeCounters& counters_for(RequestType type);
   void ensure_dispatchers();
   void dispatch_loop();
   void stop_dispatchers();
   /// Wraps a transport responder with the pending-line accounting behind
-  /// wait_drained()/serve_stream teardown.
+  /// wait_drained().
   Responder track(Responder respond);
   void record_service(double seconds);
   bool overloaded() const;

@@ -7,6 +7,10 @@
 
 namespace ndet::serve {
 
+const char* to_string(Priority priority) {
+  return priority == Priority::kBatch ? "batch" : "interactive";
+}
+
 SessionCache::SessionCache(std::size_t budget_bytes, SessionOptions base)
     : budget_bytes_(budget_bytes), base_(base) {
   stats_.budget_bytes = budget_bytes;

@@ -50,9 +50,17 @@
 #include <vector>
 
 #include "core/session.hpp"
-#include "serve/admission.hpp"
 
 namespace ndet::serve {
+
+/// The protocol's two-level request priority.  `interactive` is the
+/// default: cheap, latency-sensitive work (stats, health, small analyses).
+/// Heavy worst-case sweeps should declare `"priority":"batch"`.  It picks
+/// the admission lane (serve/admission.hpp) and the lease handoff order.
+enum class Priority { kInteractive = 0, kBatch = 1 };
+
+/// Stable wire name ("interactive" / "batch").
+const char* to_string(Priority priority);
 
 /// The result-relevant session key: two requests share a cached session iff
 /// all three fields match (thread width and deadlines never change results

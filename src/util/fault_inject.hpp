@@ -27,8 +27,8 @@
 //                                Error{kResourceExhausted}
 //   pair_kernels.pack         -- tile packing fails with
 //                                Error{kResourceExhausted}
-//   serve.accept              -- the daemon's dispatcher drops a request
-//                                line and emits an internal-error response
+//   serve.accept              -- the TCP accept loop closes a new
+//                                connection before reading from it
 //   serve.parse               -- request parsing fails with
 //                                Error{kInvalidInput}
 //   serve.cache_evict         -- session-cache eviction fails with

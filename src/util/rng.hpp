@@ -20,8 +20,8 @@
 //     this exact stream to approximate the published machines' term counts
 //     and nmin tails, so its output is pinned: changing it would silently
 //     regenerate every "bbara"/"dvram"/"s1a" into a different circuit and
-//     detach the checked-in BENCH_*.json baselines from their workloads.
-//     New randomized code should use CounterRng.
+//     change every table and served result computed on them.  New
+//     randomized code should use CounterRng.
 
 #pragma once
 
@@ -79,18 +79,6 @@ class CounterRng {
   /// An instance fixes the key; draws still take explicit coordinates.
   CounterRng(std::uint64_t seed, std::uint64_t stream)
       : seed_(seed), stream_(stream) {}
-
-  std::uint64_t seed() const { return seed_; }
-  std::uint64_t stream() const { return stream_; }
-
-  Block block_at(std::uint64_t c0, std::uint64_t c1 = 0,
-                 std::uint64_t c2 = 0) const {
-    return block(seed_, stream_, c0, c1, c2);
-  }
-
-  std::uint64_t value_at(std::uint64_t index) const {
-    return value(seed_, stream_, index);
-  }
 
   /// Unbiased uniform draw in [0, bound) at coordinate (c0, c1); bound must
   /// be > 0.  Lemire's multiply-shift rejection runs the rare retries up the

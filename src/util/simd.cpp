@@ -193,34 +193,6 @@ __attribute__((target("avx2,popcnt"))) std::size_t avx2_andnot_popcount(
 
 __attribute__((target("avx2,popcnt"))) void avx2_and_popcount_x4(
     const word* t, const word* const* g, std::size_t n, std::uint32_t* out) {
-  if (n == 4) {
-    // The whole operand is one 256-bit vector -- the common case for the
-    // small-universe FSM circuits, where Procedure 1's saturation sweep
-    // makes tens of thousands of these calls.  Straight-line: no
-    // accumulator loop, and one transpose-add replaces the four horizontal
-    // sums (lane j of `sums` ends up holding member j's total).
-    const __m256i vt = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t));
-    const __m256i v0 = popcount_epi64(_mm256_and_si256(
-        vt, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(g[0]))));
-    const __m256i v1 = popcount_epi64(_mm256_and_si256(
-        vt, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(g[1]))));
-    const __m256i v2 = popcount_epi64(_mm256_and_si256(
-        vt, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(g[2]))));
-    const __m256i v3 = popcount_epi64(_mm256_and_si256(
-        vt, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(g[3]))));
-    const __m256i s01 = _mm256_add_epi64(_mm256_unpacklo_epi64(v0, v1),
-                                         _mm256_unpackhi_epi64(v0, v1));
-    const __m256i s23 = _mm256_add_epi64(_mm256_unpacklo_epi64(v2, v3),
-                                         _mm256_unpackhi_epi64(v2, v3));
-    const __m256i sums =
-        _mm256_add_epi64(_mm256_permute2x128_si256(s01, s23, 0x20),
-                         _mm256_permute2x128_si256(s01, s23, 0x31));
-    const __m256i packed = _mm256_permutevar8x32_epi32(
-        sums, _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
-                     _mm256_castsi256_si128(packed));
-    return;
-  }
   __m256i a0 = _mm256_setzero_si256();
   __m256i a1 = _mm256_setzero_si256();
   __m256i a2 = _mm256_setzero_si256();

@@ -7,7 +7,7 @@
 //      on random word arrays of every alignment-hostile length; and
 //   2. PairKernelEngine is bit-identical to the scalar DetectionSet
 //      kernels -- nmin_batch against the unpruned nmin_of reference and
-//      intersect_counts against per-pair intersect_count -- across all
+//      saturation_counts against per-pair intersections -- across all
 //      representation pairings, odd universe sizes (non-multiples of 64
 //      and of the 256-bit vector width), empty sets, every batch width,
 //      adversarial tile geometries, and every available dispatch level.
@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -28,6 +29,7 @@
 #include "core/detection_db.hpp"
 #include "core/pair_kernels.hpp"
 #include "core/worst_case.hpp"
+#include "fsm/benchmarks.hpp"
 #include "netlist/library.hpp"
 #include "test_util.hpp"
 #include "util/bitset.hpp"
@@ -221,38 +223,6 @@ TEST(PairKernels, NminBatchMatchesReferenceAcrossEverything) {
   }
 }
 
-TEST(PairKernels, IntersectCountsMatchPerPairKernels) {
-  Rng rng(7);
-  const std::size_t universe = 157;  // odd on purpose
-  for (const simd::Level level : runnable_levels()) {
-    const ScopedSimdLevel scope(level);
-    for (const SetRepresentation policy :
-         {SetRepresentation::kAdaptive, SetRepresentation::kSparse}) {
-      const std::vector<DetectionSet> targets =
-          random_family(rng, universe, 17, policy);
-      const std::vector<DetectionSet> untargeted =
-          random_family(rng, universe, 5, SetRepresentation::kAdaptive);
-      const PairKernelEngine engine(targets, universe,
-                                    {.tile_bytes = 64,
-                                     .max_tile_targets = 4,
-                                     .element_threshold = 0});
-      for (const DetectionSet& tg : untargeted) {
-        std::vector<std::uint32_t> m(targets.size());
-        engine.intersect_counts(tg, m);
-        for (std::size_t i = 0; i < targets.size(); ++i)
-          EXPECT_EQ(m[i], targets[i].intersect_count(tg)) << i;
-        // The pool overload shards tiles but must write the same counts.
-        for (const unsigned threads : {1u, 2u, 8u}) {
-          const ThreadPool pool(threads);
-          std::vector<std::uint32_t> m_pool(targets.size());
-          engine.intersect_counts(tg, m_pool, pool);
-          EXPECT_EQ(m_pool, m) << threads;
-        }
-      }
-    }
-  }
-}
-
 TEST(PairKernels, SaturationCountsMatchScalarIntersections) {
   Rng rng(2026);
   const std::size_t universes[] = {1, 63, 100, 257};
@@ -285,8 +255,6 @@ TEST(PairKernels, SaturationCountsMatchScalarIntersections) {
           const auto [begin, end] = engine.tile_range(t);
           EXPECT_EQ(begin, expect_begin);
           EXPECT_LT(begin, end);
-          for (std::uint32_t k = begin; k < end; ++k)
-            EXPECT_EQ(engine.tile_of(k), t);
           expect_begin = end;
         }
         EXPECT_EQ(expect_begin, engine.detectable_targets());
@@ -342,9 +310,6 @@ TEST(PairKernels, EmptyFamiliesAndEmptySets) {
   empties.nmin_batch(batch, out, scratch);
   EXPECT_EQ(out[0], kNeverGuaranteed);
   EXPECT_EQ(out[1], kNeverGuaranteed);
-  std::vector<std::uint32_t> m(empty_targets.size(), 77u);
-  empties.intersect_counts(g, m);
-  EXPECT_EQ(m, (std::vector<std::uint32_t>{0u, 0u}));
 }
 
 TEST(PairKernels, UniverseMismatchThrows) {
@@ -359,31 +324,23 @@ TEST(PairKernels, UniverseMismatchThrows) {
   EXPECT_THROW(engine.nmin_batch(batch, out, scratch), contract_error);
 }
 
-// --- overlap_entries through the engine -------------------------------------
+// --- overlap_entries against the engine's sweep ----------------------------
 
-TEST(OverlapEntries, MatchesScalarReferenceAndPoolOverload) {
-  const DetectionDb db =
-      DetectionDb::build(paper_example(), {}, shared_pool());
-  for (std::size_t j = 0; j < db.untargeted().size(); ++j) {
-    // The pre-engine reference: a serial per-pair scan in target order.
-    std::vector<OverlapEntry> expected;
-    for (std::size_t i = 0; i < db.targets().size(); ++i) {
-      const DetectionSet& tf = db.target_sets()[i];
-      const std::size_t m = tf.intersect_count(db.untargeted_sets()[j]);
-      if (m == 0) continue;
-      expected.push_back({i, tf.count(), m, tf.count() - m + 1});
+TEST(OverlapEntries, MinimumMatchesWorstCaseNmin) {
+  // overlap_entries is a serial scan of every target; analyze_worst_case
+  // is the tiled, pruned engine sweep.  nmin(g) is the smallest nmin(g,f)
+  // over the targets that overlap g, so the two agree on every g.
+  for (const Circuit& circuit :
+       {paper_example(), fsm_benchmark_circuit("bbara")}) {
+    const DetectionDb db = DetectionDb::build(circuit, {}, shared_pool());
+    const WorstCaseResult worst = analyze_worst_case(db, shared_pool());
+    for (std::size_t j = 0; j < db.untargeted().size(); ++j) {
+      std::uint64_t nmin = kNeverGuaranteed;  // no entries: never guaranteed
+      for (const OverlapEntry& entry : overlap_entries(db, j))
+        nmin = std::min(nmin, entry.nmin_gf);
+      ASSERT_EQ(nmin, worst.nmin[j])
+          << "g" << j << " of " << db.untargeted().size();
     }
-    const auto check = [&](const std::vector<OverlapEntry>& entries) {
-      ASSERT_EQ(entries.size(), expected.size()) << j;
-      for (std::size_t e = 0; e < expected.size(); ++e) {
-        EXPECT_EQ(entries[e].target_index, expected[e].target_index);
-        EXPECT_EQ(entries[e].n_f, expected[e].n_f);
-        EXPECT_EQ(entries[e].m_gf, expected[e].m_gf);
-        EXPECT_EQ(entries[e].nmin_gf, expected[e].nmin_gf);
-      }
-    };
-    for (const unsigned threads : {0u, 1u, 2u, 3u})
-      check(overlap_entries(db, j, ThreadPool(threads)));
   }
 }
 

@@ -2,7 +2,7 @@
 // (eviction order, exact byte accounting, key separation, bit-identical
 // rebuilds), the wire protocol, and the request engine (served responses
 // bytewise identical to direct AnalysisSession runs, deadline'd requests
-// never poisoning the cache, stats, stream and TCP transports).
+// never poisoning the cache, stats, the TCP transport).
 
 #include <gtest/gtest.h>
 
@@ -359,54 +359,34 @@ TEST(Server, StatsReportCountsAndCacheTelemetry) {
   EXPECT_GT(cache.at("bytes").as_uint64(), 0u);
 }
 
-TEST(Server, ServeStreamAnswersEveryLine) {
-  std::istringstream in(
-      "{\"id\":1,\"type\":\"worst_case\",\"circuit\":\"bbtas\"}\n"
-      "\n"  // blank lines are skipped, not answered
-      "{\"id\":2,\"type\":\"ping\"}\n"
-      "not json\n"
-      "{\"id\":3,\"type\":\"worst_case\",\"circuit\":\"dk27\"}\n");
-  std::ostringstream out;
-  Server server(small_server());
-  server.serve_stream(in, out);
-
-  std::istringstream lines(out.str());
-  std::string line;
-  std::vector<std::uint64_t> ids;
-  std::size_t malformed = 0;
-  while (std::getline(lines, line)) {
-    const json::Value v = json::parse(line);  // every line is valid JSON
-    const std::uint64_t id = v.at("id").as_uint64();
-    if (id == 0)
-      ++malformed;
-    else
-      ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2, 3}));
-  EXPECT_EQ(malformed, 1u);
+/// Runs serve_tcp on an ephemeral port in `serving` and returns the port.
+/// The promise lives in the serving thread's closure, so it outlives its
+/// one use.
+int serve_in_background(Server& server, std::thread& serving) {
+  std::promise<int> bound;
+  std::future<int> port = bound.get_future();
+  serving = std::thread([&server, bound = std::move(bound)]() mutable {
+    server.serve_tcp(0, [&bound](int p) { bound.set_value(p); });
+  });
+  return port.get();
 }
 
-TEST(Server, TcpRoundTrip) {
-  Server server(small_server());
-  std::promise<int> port_promise;
-  std::future<int> port_future = port_promise.get_future();
-  std::thread serving([&] {
-    server.serve_tcp(0, [&](int port) { port_promise.set_value(port); });
-  });
-  const int port = port_future.get();
-  ASSERT_GT(port, 0);
-
+/// A socket connected to 127.0.0.1:`port`.
+int dial(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
-  const std::string request =
-      "{\"id\":5,\"type\":\"worst_case\",\"circuit\":\"bbtas\"}\n";
-  ASSERT_EQ(::write(fd, request.data(), request.size()),
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  return fd;
+}
+
+/// Sends `request` on a new connection, half-closes it, and returns all
+/// the server writes back before EOF.
+std::string round_trip(int port, const std::string& request) {
+  const int fd = dial(port);
+  EXPECT_EQ(::write(fd, request.data(), request.size()),
             static_cast<ssize_t>(request.size()));
   ::shutdown(fd, SHUT_WR);
   std::string response;
@@ -415,16 +395,64 @@ TEST(Server, TcpRoundTrip) {
   while ((got = ::read(fd, chunk, sizeof chunk)) > 0)
     response.append(chunk, static_cast<std::size_t>(got));
   ::close(fd);
+  return response;
+}
+
+TEST(Server, TcpRoundTrip) {
+  Server server(small_server());
+  std::thread serving;
+  const int port = serve_in_background(server, serving);
+  ASSERT_GT(port, 0);
+  const std::string response = round_trip(
+      port, "{\"id\":5,\"type\":\"worst_case\",\"circuit\":\"bbtas\"}\n");
+  server.shutdown();
+  serving.join();
 
   ASSERT_FALSE(response.empty());
-  const json::Value v = json::parse(
-      response.substr(0, response.find('\n')));
+  const json::Value v = json::parse(response.substr(0, response.find('\n')));
   EXPECT_EQ(v.at("id").as_uint64(), 5u);
   EXPECT_TRUE(v.at("ok").as_bool());
   EXPECT_EQ(v.at("circuit").as_string(), "bbtas");
+}
 
+TEST(Server, ServeStreamAnswersEveryLine) {
+  // Several lines on one TCP connection, the daemon's stream transport:
+  // each non-blank line gets exactly one reply, a malformed one included.
+  Server server(small_server());
+  std::thread serving;
+  const int port = serve_in_background(server, serving);
+  ASSERT_GT(port, 0);
+  const std::string response = round_trip(
+      port,
+      "{\"id\":1,\"type\":\"worst_case\",\"circuit\":\"bbtas\"}\n"
+      "\n"  // blank lines are skipped, not answered
+      "{\"id\":2,\"type\":\"ping\"}\n"
+      "not json\n"
+      "{\"id\":3,\"type\":\"worst_case\",\"circuit\":\"dk27\"}\n");
   server.shutdown();
   serving.join();
+
+  std::istringstream lines(response);
+  std::string line;
+  std::vector<std::uint64_t> ids;
+  std::size_t malformed = 0;
+  while (std::getline(lines, line)) {
+    const json::Value v = json::parse(line);  // every line is valid JSON
+    const std::uint64_t id = v.at("id").as_uint64();
+    if (id == 0) {
+      ++malformed;
+      EXPECT_EQ(v.at("error").at("kind").as_string(), "invalid_input");
+      continue;
+    }
+    ids.push_back(id);
+    EXPECT_TRUE(v.at("ok").as_bool()) << line;
+    if (id == 1) {
+      EXPECT_EQ(v.at("circuit").as_string(), "bbtas");
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(malformed, 1u);
 }
 
 TEST(Server, ConcurrentMixedRequestsAllSucceedAndMatch) {
@@ -469,24 +497,33 @@ TEST(Server, ConcurrentMixedRequestsAllSucceedAndMatch) {
 
 // --- admission queue --------------------------------------------------------
 
-AdmittedLine make_line(const std::string& text, Priority priority,
-                       std::uint64_t id = 0) {
+AdmittedLine make_line(std::uint64_t id, Priority priority,
+                       std::size_t bytes = 2) {
   AdmittedLine line;
-  line.line = text;
-  line.priority = priority;
-  line.id = id;
-  line.type_name = "test";
+  line.request.id = id;
+  line.request.priority = priority;
+  line.bytes = bytes;
   line.respond = [](std::string&&) {};
   return line;
+}
+
+/// Closes the queue and pops what it still holds: the ids in dispatch
+/// order.
+std::vector<std::uint64_t> drain_ids(AdmissionQueue& queue) {
+  queue.close();
+  std::vector<std::uint64_t> ids;
+  AdmittedLine out;
+  while (queue.pop(out)) ids.push_back(out.request.id);
+  return ids;
 }
 
 TEST(AdmissionQueue, InteractiveLaneDispatchesFirstFifoWithinLane) {
   AdmissionQueue queue(/*max_depth=*/0, /*max_bytes=*/0);
   std::vector<AdmittedLine> displaced;
-  AdmittedLine b1 = make_line("b1", Priority::kBatch, 1);
-  AdmittedLine b2 = make_line("b2", Priority::kBatch, 2);
-  AdmittedLine i1 = make_line("i1", Priority::kInteractive, 3);
-  AdmittedLine i2 = make_line("i2", Priority::kInteractive, 4);
+  AdmittedLine b1 = make_line(1, Priority::kBatch);
+  AdmittedLine b2 = make_line(2, Priority::kBatch);
+  AdmittedLine i1 = make_line(3, Priority::kInteractive);
+  AdmittedLine i2 = make_line(4, Priority::kInteractive);
   ASSERT_TRUE(queue.offer(b1, &displaced));
   ASSERT_TRUE(queue.offer(b2, &displaced));
   ASSERT_TRUE(queue.offer(i1, &displaced));
@@ -495,23 +532,20 @@ TEST(AdmissionQueue, InteractiveLaneDispatchesFirstFifoWithinLane) {
 
   // Deterministic at the queue level: both interactive entries first, each
   // lane in admission order.
-  std::vector<std::string> order;
-  AdmittedLine out;
-  while (queue.try_pop(out)) order.push_back(out.line);
-  EXPECT_EQ(order, (std::vector<std::string>{"i1", "i2", "b1", "b2"}));
+  EXPECT_EQ(drain_ids(queue), (std::vector<std::uint64_t>{3, 4, 1, 2}));
 }
 
 TEST(AdmissionQueue, DepthBoundShedsNewestAndCountsByPriority) {
   AdmissionQueue queue(/*max_depth=*/2, /*max_bytes=*/0);
   std::vector<AdmittedLine> displaced;
-  AdmittedLine a = make_line("a", Priority::kBatch);
-  AdmittedLine b = make_line("b", Priority::kBatch);
-  AdmittedLine c = make_line("c", Priority::kBatch);
+  AdmittedLine a = make_line(1, Priority::kBatch);
+  AdmittedLine b = make_line(2, Priority::kBatch);
+  AdmittedLine c = make_line(3, Priority::kBatch);
   ASSERT_TRUE(queue.offer(a, &displaced));
   ASSERT_TRUE(queue.offer(b, &displaced));
   EXPECT_FALSE(queue.offer(c, &displaced));
-  // The rejected line keeps its payload (and its responder with it).
-  EXPECT_EQ(c.line, "c");
+  // The rejected line keeps its request (and its responder with it).
+  EXPECT_EQ(c.request.id, 3u);
   EXPECT_TRUE(static_cast<bool>(c.respond));
   const AdmissionStats stats = queue.stats();
   EXPECT_EQ(stats.depth, 2u);
@@ -524,8 +558,8 @@ TEST(AdmissionQueue, DepthBoundShedsNewestAndCountsByPriority) {
 TEST(AdmissionQueue, ByteBoundSheds) {
   AdmissionQueue queue(/*max_depth=*/0, /*max_bytes=*/8);
   std::vector<AdmittedLine> displaced;
-  AdmittedLine small = make_line("12345", Priority::kBatch);
-  AdmittedLine big = make_line("123456", Priority::kBatch);
+  AdmittedLine small = make_line(1, Priority::kBatch, 5);
+  AdmittedLine big = make_line(2, Priority::kBatch, 6);
   ASSERT_TRUE(queue.offer(small, &displaced));
   EXPECT_FALSE(queue.offer(big, &displaced));  // 5 + 6 > 8
   EXPECT_EQ(queue.stats().bytes, 5u);
@@ -534,32 +568,29 @@ TEST(AdmissionQueue, ByteBoundSheds) {
 TEST(AdmissionQueue, InteractiveDisplacesNewestBatchEntries) {
   AdmissionQueue queue(/*max_depth=*/2, /*max_bytes=*/0);
   std::vector<AdmittedLine> displaced;
-  AdmittedLine b1 = make_line("b1", Priority::kBatch, 1);
-  AdmittedLine b2 = make_line("b2", Priority::kBatch, 2);
-  AdmittedLine i1 = make_line("i1", Priority::kInteractive, 3);
+  AdmittedLine b1 = make_line(1, Priority::kBatch);
+  AdmittedLine b2 = make_line(2, Priority::kBatch);
+  AdmittedLine i1 = make_line(3, Priority::kInteractive);
   ASSERT_TRUE(queue.offer(b1, &displaced));
   ASSERT_TRUE(queue.offer(b2, &displaced));
   // Full queue, but an interactive offer displaces the NEWEST batch entry.
   ASSERT_TRUE(queue.offer(i1, &displaced));
   ASSERT_EQ(displaced.size(), 1u);
-  EXPECT_EQ(displaced[0].line, "b2");
+  EXPECT_EQ(displaced[0].request.id, 2u);
   EXPECT_TRUE(static_cast<bool>(displaced[0].respond));
 
   const AdmissionStats stats = queue.stats();
   EXPECT_EQ(stats.displaced, 1u);
   EXPECT_EQ(stats.shed_batch, 1u);
 
-  std::vector<std::string> order;
-  AdmittedLine out;
-  while (queue.try_pop(out)) order.push_back(out.line);
-  EXPECT_EQ(order, (std::vector<std::string>{"i1", "b1"}));
+  EXPECT_EQ(drain_ids(queue), (std::vector<std::uint64_t>{3, 1}));
 }
 
 TEST(AdmissionQueue, BatchNeverDisplaces) {
   AdmissionQueue queue(/*max_depth=*/1, /*max_bytes=*/0);
   std::vector<AdmittedLine> displaced;
-  AdmittedLine i1 = make_line("i1", Priority::kInteractive);
-  AdmittedLine b1 = make_line("b1", Priority::kBatch);
+  AdmittedLine i1 = make_line(1, Priority::kInteractive);
+  AdmittedLine b1 = make_line(2, Priority::kBatch);
   ASSERT_TRUE(queue.offer(i1, &displaced));
   EXPECT_FALSE(queue.offer(b1, &displaced));
   EXPECT_TRUE(displaced.empty());
@@ -568,14 +599,14 @@ TEST(AdmissionQueue, BatchNeverDisplaces) {
 TEST(AdmissionQueue, CloseShedsNewOffersButDrainsQueuedLines) {
   AdmissionQueue queue(0, 0);
   std::vector<AdmittedLine> displaced;
-  AdmittedLine queued = make_line("queued", Priority::kBatch);
+  AdmittedLine queued = make_line(1, Priority::kBatch);
   ASSERT_TRUE(queue.offer(queued, &displaced));
   queue.close();
-  AdmittedLine late = make_line("late", Priority::kBatch);
+  AdmittedLine late = make_line(2, Priority::kBatch);
   EXPECT_FALSE(queue.offer(late, &displaced));
   AdmittedLine out;
   EXPECT_TRUE(queue.pop(out));  // close() drains, it does not drop
-  EXPECT_EQ(out.line, "queued");
+  EXPECT_EQ(out.request.id, 1u);
   EXPECT_FALSE(queue.pop(out));  // closed and empty
 }
 
@@ -625,6 +656,78 @@ std::string submit_sync(Server& server, const std::string& line) {
     promise.set_value(std::move(response));
   });
   return future.get();
+}
+
+TEST(Server, SubmitAnswersUnparseableLinesWithoutQueueing) {
+  // A line that does not parse, or exceeds the line cap, is answered
+  // inside submit and never takes queue room.
+  std::vector<std::string> replies;
+  ServerOptions options = small_server();
+  options.max_line_bytes = 64;
+  Server server(options);
+  for (const std::string& line : {std::string("not json"),
+                                  std::string(1000, 'x')}) {
+    const std::size_t before = replies.size();
+    EXPECT_FALSE(server.submit(
+        line, [&](std::string&& r) { replies.push_back(std::move(r)); }));
+    // The responder ran before submit returned.
+    ASSERT_EQ(replies.size(), before + 1);
+    EXPECT_EQ(json::parse(replies.back()).at("error").at("kind").as_string(),
+              "invalid_input");
+  }
+  const AdmissionStats admission = server.admission_stats();
+  EXPECT_EQ(admission.admitted, 0u);
+  EXPECT_EQ(admission.depth, 0u);
+  EXPECT_EQ(admission.bytes, 0u);
+  const json::Value stats =
+      json::parse(server.handle_line(R"({"id":1,"type":"stats"})"));
+  EXPECT_EQ(stats.at("result").at("malformed").as_uint64(), 2u);
+}
+
+TEST(Server, ParseErrorsEchoTheRequestIdAndType) {
+  // The request names its id and type, but worst_case takes no "nmax":
+  // the error must still reach the pipelining client that sent id 8.
+  const std::string line =
+      R"({"id":8,"type":"worst_case","circuit":"bbtas","nmax":3})";
+  const auto expect_echo = [](const std::string& response) {
+    const json::Value v = json::parse(response);
+    EXPECT_EQ(v.at("id").as_uint64(), 8u) << response;
+    EXPECT_EQ(v.at("type").as_string(), "worst_case") << response;
+    EXPECT_EQ(v.at("error").at("kind").as_string(), "invalid_input");
+  };
+  const auto malformed = [](Server& server) {
+    return json::parse(server.handle_line(R"({"id":1,"type":"stats"})"))
+        .at("result")
+        .at("malformed")
+        .as_uint64();
+  };
+  {
+    Server server(small_server());
+    expect_echo(server.handle_line(line));
+    EXPECT_EQ(malformed(server), 1u);
+  }
+  {
+    Server server(small_server());
+    expect_echo(submit_sync(server, line));
+    EXPECT_EQ(malformed(server), 1u);
+  }
+
+  // Only what the line names is echoed.
+  Server server(small_server());
+  const std::pair<const char*, std::pair<std::uint64_t, const char*>>
+      cases[] = {
+          {R"({"id":-1,"type":"ping","x":1})", {0, "ping"}},
+          {R"({"id":5,"type":"frobnicate"})", {5, "unknown"}},
+          {R"({"id":6,"type":7})", {6, "unknown"}},
+          {R"([{"id":9,"type":"ping"}])", {0, "unknown"}},
+          {R"({"id":3,"type":"ping"} trailing)", {0, "unknown"}},
+      };
+  for (const auto& [text, echo] : cases) {
+    const json::Value v = json::parse(server.handle_line(text));
+    EXPECT_EQ(v.at("id").as_uint64(), echo.first) << text;
+    EXPECT_EQ(v.at("type").as_string(), echo.second) << text;
+    EXPECT_EQ(v.at("error").at("kind").as_string(), "invalid_input") << text;
+  }
 }
 
 TEST(Server, SubmitShedsWhenQueueFullWithExactlyOneResponseEach) {
@@ -844,23 +947,9 @@ TEST(Server, TcpConnectionCapRejectsExcessWithTypedResponse) {
   ServerOptions options = small_server();
   options.max_connections = 1;
   Server server(options);
-  std::promise<int> port_promise;
-  std::future<int> port_future = port_promise.get_future();
-  std::thread serving([&] {
-    server.serve_tcp(0, [&](int port) { port_promise.set_value(port); });
-  });
-  const int port = port_future.get();
+  std::thread serving;
+  const int port = serve_in_background(server, serving);
 
-  const auto dial = [port] {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-              0);
-    return fd;
-  };
   const auto read_line = [](int fd) {
     std::string buffer;
     char chunk[4096];
@@ -873,7 +962,7 @@ TEST(Server, TcpConnectionCapRejectsExcessWithTypedResponse) {
 
   // First connection occupies the single slot (a round trip proves the
   // handler is live, which also proves the accept loop moved on).
-  const int first = dial();
+  const int first = dial(port);
   const std::string ping = "{\"id\":1,\"type\":\"ping\"}\n";
   ASSERT_EQ(::write(first, ping.data(), ping.size()),
             static_cast<ssize_t>(ping.size()));
@@ -881,7 +970,7 @@ TEST(Server, TcpConnectionCapRejectsExcessWithTypedResponse) {
 
   // Second connection: one typed shed line, then close -- never a silent
   // reset.
-  const int second = dial();
+  const int second = dial(port);
   const std::string rejection = read_line(second);
   EXPECT_TRUE(is_shed_response(rejection)) << rejection;
   EXPECT_NE(rejection.find("connection limit"), std::string::npos);
@@ -905,19 +994,8 @@ TEST(Server, TcpUnterminatedLineOverTheCapIsRejected) {
   ServerOptions options = small_server();
   options.max_line_bytes = 1024;
   Server server(options);
-  std::promise<int> port_promise;
-  std::future<int> port_future = port_promise.get_future();
-  std::thread serving([&] {
-    server.serve_tcp(0, [&](int port) { port_promise.set_value(port); });
-  });
-  const int port = port_future.get();
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  std::thread serving;
+  const int fd = dial(serve_in_background(server, serving));
   // A receive timeout turns a daemon that keeps buffering into a failure
   // instead of a hang.
   timeval timeout{};
@@ -963,34 +1041,15 @@ std::size_t mapping_count() {
 
 TEST(Server, TcpJoinsFinishedConnectionHandlers) {
   Server server(small_server());
-  std::promise<int> port_promise;
-  std::future<int> port_future = port_promise.get_future();
-  std::thread serving([&] {
-    server.serve_tcp(0, [&](int port) { port_promise.set_value(port); });
-  });
-  const int port = port_future.get();
+  std::thread serving;
+  const int port = serve_in_background(server, serving);
 
   // One ping per connection; the EOF the client reads means the handler
   // has closed its side.
   const auto ping_once = [port] {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-              0);
-    const std::string ping = "{\"id\":1,\"type\":\"ping\"}\n";
-    EXPECT_EQ(::write(fd, ping.data(), ping.size()),
-              static_cast<ssize_t>(ping.size()));
-    ::shutdown(fd, SHUT_WR);
-    std::string response;
-    char chunk[256];
-    ssize_t got;
-    while ((got = ::read(fd, chunk, sizeof chunk)) > 0)
-      response.append(chunk, static_cast<std::size_t>(got));
-    ::close(fd);
-    EXPECT_NE(response.find("\"ok\":true"), std::string::npos);
+    EXPECT_NE(round_trip(port, "{\"id\":1,\"type\":\"ping\"}\n")
+                  .find("\"ok\":true"),
+              std::string::npos);
   };
 
   // Warm-up: the dispatchers, allocator arenas and a sanitizer runtime's

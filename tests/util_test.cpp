@@ -288,18 +288,6 @@ TEST(CounterRng, ValueKnownAnswers) {
             0xe903d703a39abd19ull);
 }
 
-TEST(CounterRng, InstanceMatchesStaticMap) {
-  const CounterRng rng(2005, 3);
-  EXPECT_EQ(rng.seed(), 2005u);
-  EXPECT_EQ(rng.stream(), 3u);
-  for (std::uint64_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(rng.value_at(i), CounterRng::value(2005, 3, i));
-    const CounterRng::Block a = rng.block_at(i, 5, 9);
-    const CounterRng::Block b = CounterRng::block(2005, 3, i, 5, 9);
-    for (int l = 0; l < 4; ++l) EXPECT_EQ(a.v[l], b.v[l]);
-  }
-}
-
 TEST(CounterRng, DrawsAreScheduleInvariant) {
   // The property the batched Procedure 1 rests on: a draw is a pure
   // function of (seed, stream, coordinate), so ANY evaluation order --

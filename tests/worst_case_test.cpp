@@ -46,7 +46,7 @@ TEST_F(PaperDb, UntargetedKeepsOnlyDetectableFaults) {
 TEST_F(PaperDb, Table1OverlapEntries) {
   // Table 1 of the paper: faults overlapping T(g0) = {6,7} (g0 is the
   // first fault), with their N(f), M(g0,f) and nmin(g0,f).
-  const auto entries = overlap_entries(db(), 0, shared_pool());
+  const auto entries = overlap_entries(db(), 0);
   // Expected: (index, N, M, nmin): f0: 4,2,3; f1: 6,2,5; f3: 6,2,5;
   // f9: 4,1,4; f11: 12,2,11; f12: 4,2,3; f14: 12,2,11.
   struct Expected {
