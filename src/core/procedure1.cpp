@@ -438,13 +438,9 @@ AverageCaseResult run_procedure1(const DetectionDb& db,
   inputs.def2 = def2;
   inputs.def2_probe_limit = config.def2_probe_limit;
 
-  // Batch width: 0 = the kernel width, larger values clamp to it.  Pure
-  // perf knob -- see run_group for why results cannot depend on it.
-  const std::size_t width =
-      std::min<std::size_t>(config.batch_width == 0
-                                ? PairKernelEngine::kBatchWidth
-                                : config.batch_width,
-                            PairKernelEngine::kBatchWidth);
+  // Groups of the kernel width; the last one holds the remainder.  See
+  // run_group for why results cannot depend on a set's group.
+  const std::size_t width = PairKernelEngine::kBatchWidth;
 
   // Shard whole batch groups across the pool: a worker owns each of its
   // groups' sets end to end and writes only their slots.  Definition-2

@@ -23,23 +23,24 @@
 // and draw site), so a draw's value depends only on WHICH decision it feeds,
 // never on how many draws ran before it.  That frees the evaluation order,
 // and the engine uses the freedom to batch the per-set saturation sweep
-// across sets: groups of up to `batch_width` sets walk the target faults in
-// the PairKernelEngine's N(f)-ascending tile order, and each visit's exact
-// detection count |T(f) n T_k| comes from the register-blocked x4 kernels
-// (packed dense rows) or element probes (tiny CSR targets) instead of a
-// per-fault and_not_count plus a per-added-test scatter.  A (set, target)
-// pair retires permanently once it can never need work again (count reached
-// nmax, or T(f) is contained in T_k), and whole tiles are skipped once no
-// group member has a live target in them.
+// across sets: groups of up to PairKernelEngine::kBatchWidth (8) sets walk
+// the target faults in the engine's N(f)-ascending tile order, and each
+// visit's exact detection count |T(f) n T_k| comes from the
+// register-blocked x4 kernels (packed dense rows) or element probes (tiny
+// CSR targets) instead of a per-fault and_not_count plus a per-added-test
+// scatter.  A (set, target) pair retires permanently once it can never
+// need work again (count reached nmax, or T(f) is contained in T_k), and
+// whole tiles are skipped once no group member has a live target in them.
 //
-// Sets evolve independently and draws are coordinate-addressed, so results
-// are bit-identical at every batch width, every worker-pool width (a
-// one-thread pool runs serially on the calling thread) and every SIMD
-// dispatch level.  Definition-2 candidate search scans all of T(f_i) - T_k
-// when small, and otherwise takes `def2_probe_limit` random probes
-// (documented deviation; DESIGN.md "Definition 2").  See DESIGN.md
-// "Counter-based RNG and batched Procedure 1" for the coordinate scheme,
-// the batched sweep and the retirement discipline.
+// Sets evolve independently and draws are coordinate-addressed, so a set's
+// results do not depend on the group it runs in or on K, and are
+// bit-identical at every worker-pool width (a one-thread pool runs
+// serially on the calling thread) and every SIMD dispatch level.
+// Definition-2 candidate search scans all of T(f_i) - T_k when small, and
+// otherwise takes `def2_probe_limit` random probes (documented deviation;
+// DESIGN.md "Definition 2").  See DESIGN.md "Counter-based RNG and batched
+// Procedure 1" for the coordinate scheme, the batched sweep and the
+// retirement discipline.
 
 #pragma once
 
@@ -67,11 +68,6 @@ struct Procedure1Config {
   DetectionDefinition definition = DetectionDefinition::kStandard;
   bool keep_test_sets = false;  ///< record every test set (Table 4)
   std::size_t def2_probe_limit = 32;  ///< bounded candidate probing (Def. 2)
-  /// Sets per batch group in the saturation sweep.  0 (the default) uses
-  /// the kernel batch width (PairKernelEngine::kBatchWidth); 1 runs each
-  /// set's sweep serially; values above the kernel width are clamped to
-  /// it.  A pure performance knob: the value never changes any result.
-  std::size_t batch_width = 0;
 
   bool operator==(const Procedure1Config&) const = default;
 };

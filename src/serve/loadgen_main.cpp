@@ -145,28 +145,12 @@ class Expectations {
     const serve::Request request = serve::parse_request(line);
     std::unique_ptr<AnalysisSession>& session = sessions_[request.key];
     if (!session) {
-      SessionOptions options;
-      options.max_inputs = request.key.max_inputs;
-      options.representation = request.key.representation;
-      options.num_threads = 1;
-      session = std::make_unique<AnalysisSession>(request.circuit, options);
+      SessionOptions single_thread;
+      single_thread.num_threads = 1;
+      session = std::make_unique<AnalysisSession>(
+          request.circuit, serve::session_options(request.key, single_thread));
     }
-    switch (request.type) {
-      case serve::RequestType::kWorstCase:
-        return to_json(session->worst_case());
-      case serve::RequestType::kAverageCase:
-        return to_json(session->average_case(request.average));
-      case serve::RequestType::kPartition: {
-        JsonWriter w;
-        w.begin_array();
-        for (const ConeReport& report : session->partitioned(request.partition))
-          w.raw(to_json(report));
-        w.end_array();
-        return w.str();
-      }
-      default:
-        return {};
-    }
+    return serve::analysis_result(*session, request);
   }
 
  private:

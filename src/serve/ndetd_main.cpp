@@ -100,7 +100,8 @@ int main(int argc, char** argv) {
     serve::Server server(options);
     if (args.has("oneshot")) {
       std::string line;
-      if (!std::getline(std::cin, line)) return kExitInvalidInput;
+      require(static_cast<bool>(std::getline(std::cin, line)),
+              "ndetd --oneshot: no request line on stdin");
       std::optional<ErrorKind> failure;
       std::cout << server.handle_line(line, &failure) << '\n';
       std::cout.flush();

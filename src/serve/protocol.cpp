@@ -148,6 +148,30 @@ Request parse_request(const std::string& line) {
   return request;
 }
 
+std::string analysis_result(AnalysisSession& session, const Request& request) {
+  switch (request.type) {
+    case RequestType::kWorstCase:
+      return to_json(session.worst_case());
+    case RequestType::kAverageCase:
+      return to_json(session.average_case(request.average));
+    case RequestType::kPartition: {
+      JsonWriter w;
+      w.begin_array();
+      for (const ConeReport& report : session.partitioned(request.partition))
+        w.raw(to_json(report));
+      w.end_array();
+      return w.str();
+    }
+    case RequestType::kStats:
+    case RequestType::kPing:
+    case RequestType::kHealth:
+      break;
+  }
+  throw Error(ErrorKind::kInvalidInput,
+              std::string("request type '") + to_string(request.type) +
+                  "' has no analysis result");
+}
+
 std::string ok_response(const Request& request, const std::string& result_json,
                         const SessionStats& session, bool cache_hit,
                         double elapsed_ms) {

@@ -85,6 +85,11 @@ struct Request {
 /// (with line/column context), unknown "type"/keys, or missing "circuit".
 Request parse_request(const std::string& line);
 
+/// The "result" payload of an analysis request, computed on `session` (a
+/// session built with session_options(request.key, ...)).  Throws
+/// Error{kInvalidInput} for the control types, which have no session.
+std::string analysis_result(AnalysisSession& session, const Request& request);
+
 /// Success envelope around a prebuilt result JSON value.
 std::string ok_response(const Request& request, const std::string& result_json,
                         const SessionStats& session, bool cache_hit,

@@ -39,16 +39,6 @@ SessionOptions base_options(const ServerOptions& options) {
   return base;
 }
 
-std::int64_t to_ns(std::chrono::steady_clock::time_point t) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             t.time_since_epoch())
-      .count();
-}
-
-std::chrono::steady_clock::time_point from_ns(std::int64_t ns) {
-  return std::chrono::steady_clock::time_point(std::chrono::nanoseconds(ns));
-}
-
 /// The error reply to a line that did not parse.  It echoes what the line
 /// says about itself, so a pipelining client can match the reply: a JSON
 /// object's "type" when that names a request type, and its "id" when that
@@ -136,8 +126,12 @@ Server::Server(ServerOptions options)
       session_base_(base_options(options)),
       cache_(options.cache_bytes, session_base_),
       lifetime_(std::make_shared<CancelToken>()),
+      drain_(std::make_shared<CancelToken>()),
       queue_(options.max_queue_depth, options.max_queue_bytes),
-      start_time_(std::chrono::steady_clock::now()) {}
+      start_time_(std::chrono::steady_clock::now()) {
+  drain_->chain_parent(lifetime_);
+  drain_->label_deadline("drain budget");
+}
 
 Server::~Server() {
   // Admitted lines are never abandoned: cancel in-flight work, then let
@@ -186,16 +180,9 @@ std::string Server::handle_line(const std::string& line,
     if (failure) *failure = ErrorKind::kInvalidInput;
     return reply;
   }
-  // Drain mode: analysis work is shed (the control types stay answerable
-  // so load balancers observe the state).
-  if (!is_control_type(request.type) && state() != ServerState::kServing) {
+  if (std::optional<std::string> shed = drain_shed(request)) {
     if (failure) *failure = ErrorKind::kResourceExhausted;
-    TypeCounters& counters = counters_for(request.type);
-    counters.requests.fetch_add(1, std::memory_order_relaxed);
-    counters.errors.fetch_add(1, std::memory_order_relaxed);
-    return shed_response(request.id, to_string(request.type),
-                         "server draining: not admitting new analysis work",
-                         retry_after_hint_ms());
+    return std::move(*shed);
   }
   return serve(request, failure);
 }
@@ -261,6 +248,18 @@ std::string Server::serve(const Request& request,
   return response;
 }
 
+std::optional<std::string> Server::drain_shed(const Request& request) {
+  // The control types stay answerable so load balancers observe the state.
+  if (is_control_type(request.type) || state() == ServerState::kServing)
+    return std::nullopt;
+  TypeCounters& counters = counters_for(request.type);
+  counters.requests.fetch_add(1, std::memory_order_relaxed);
+  counters.errors.fetch_add(1, std::memory_order_relaxed);
+  return shed_response(request.id, to_string(request.type),
+                       "server draining: not admitting new analysis work",
+                       retry_after_hint_ms());
+}
+
 std::string Server::run_request(const Request& request) {
   const auto start = std::chrono::steady_clock::now();
   check_cancel(lifetime_.get(), "serve.dispatch");
@@ -280,61 +279,22 @@ std::string Server::run_request(const Request& request) {
                     "' (expected an FSM benchmark or an embedded circuit)");
 
   // A fresh token per request: tokens latch and deadlines only tighten, so
-  // cached sessions can never reuse one.  Chaining the lifetime token makes
-  // shutdown() reach in-flight stages; the active-token registry lets
-  // begin_drain() arm the drain budget onto work already in flight.
+  // cached sessions can never reuse one.  Chained under the drain token, it
+  // sees begin_drain()'s budget and shutdown()'s cancel whenever they come.
   auto token = std::make_shared<CancelToken>();
-  token->chain_parent(lifetime_);
-  const bool draining = state() != ServerState::kServing;
-  if (draining) {
-    token->label_deadline("drain budget");
-    token->set_deadline(
-        from_ns(drain_deadline_ns_.load(std::memory_order_acquire)));
+  token->chain_parent(drain_);
+  if (state() != ServerState::kServing)
     NDET_INJECT("serve.drain",
                 throw Error(ErrorKind::kCancelled,
                             "injected drain abort (site serve.drain)",
                             "serve.drain"));
-  }
-  std::list<std::weak_ptr<CancelToken>>::iterator active_it;
-  {
-    const std::lock_guard<std::mutex> lock(active_mutex_);
-    active_it = active_tokens_.insert(active_tokens_.end(), token);
-  }
-  struct ActiveGuard {
-    Server* server;
-    std::list<std::weak_ptr<CancelToken>>::iterator it;
-    ~ActiveGuard() {
-      const std::lock_guard<std::mutex> lock(server->active_mutex_);
-      server->active_tokens_.erase(it);
-    }
-  } active_guard{this, active_it};
 
   SessionCache::Lease lease = cache_.acquire(request.key, request.priority);
   AnalysisSession& session = lease.session();
   session.rearm(request.deadline_ms, token);
   std::string result;
   try {
-    switch (request.type) {
-      case RequestType::kWorstCase:
-        result = to_json(session.worst_case());
-        break;
-      case RequestType::kAverageCase:
-        result = to_json(session.average_case(request.average));
-        break;
-      case RequestType::kPartition: {
-        JsonWriter w;
-        w.begin_array();
-        for (const ConeReport& report : session.partitioned(request.partition))
-          w.raw(to_json(report));
-        w.end_array();
-        result = w.str();
-        break;
-      }
-      case RequestType::kStats:
-      case RequestType::kPing:
-      case RequestType::kHealth:
-        break;  // handled above
-    }
+    result = analysis_result(session, request);
   } catch (...) {
     // The aborted stage never populated its memo slot, so the session stays
     // clean for the next request; re-charge whatever the half-run request
@@ -385,10 +345,8 @@ bool Server::submit(const std::string& line, Responder respond) {
     return false;
   }
 
-  if (state() != ServerState::kServing) {
-    tracked(shed_response(request.id, to_string(request.type),
-                          "server draining: not admitting new analysis work",
-                          retry_after_hint_ms()));
+  if (std::optional<std::string> shed = drain_shed(request)) {
+    tracked(std::move(*shed));
     return false;
   }
 
@@ -444,32 +402,14 @@ void Server::stop_dispatchers() {
 // --- lifecycle --------------------------------------------------------------
 
 void Server::begin_drain() {
-  // Publish the budget exactly once (first caller wins) and BEFORE the
-  // state flip, so a token created the instant the state reads kDraining
-  // always sees a real deadline, and a repeated begin_drain (embedder
-  // drain followed by a signal) can never extend the deadline already
-  // armed onto in-flight work.
-  std::int64_t expected_ns = 0;
-  drain_deadline_ns_.compare_exchange_strong(
-      expected_ns,
-      to_ns(std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(options_.drain_ms)),
-      std::memory_order_acq_rel);
+  // One deadline on the drain token reaches every request token chained
+  // under it, in flight or not yet dispatched.  set_deadline keeps the
+  // earlier deadline, so a repeated call (an embedder drain followed by a
+  // signal) never extends the budget.
+  drain_->set_deadline_after_ms(options_.drain_ms);
   ServerState expected = ServerState::kServing;
-  if (!state_.compare_exchange_strong(expected, ServerState::kDraining,
-                                      std::memory_order_acq_rel))
-    return;  // already draining or stopped
-  const auto deadline =
-      from_ns(drain_deadline_ns_.load(std::memory_order_acquire));
-  // Arm the drain budget onto work already in flight; requests admitted
-  // before the drain but still queued get theirs at token creation.
-  const std::lock_guard<std::mutex> lock(active_mutex_);
-  for (const std::weak_ptr<CancelToken>& weak : active_tokens_) {
-    if (const std::shared_ptr<CancelToken> token = weak.lock()) {
-      token->label_deadline("drain budget");
-      token->set_deadline(deadline);
-    }
-  }
+  state_.compare_exchange_strong(expected, ServerState::kDraining,
+                                 std::memory_order_acq_rel);
 }
 
 bool Server::wait_drained(std::uint64_t timeout_ms) {

@@ -24,18 +24,22 @@
 //
 // Lifecycle: request_drain() (async-signal-safe) or begin_drain() moves
 // the server from SERVING to DRAINING -- admission stops (new analysis
-// lines are shed as "draining"; ping/stats/health still answer so load
-// balancers see the state flip), already-admitted work finishes under a
-// `drain_ms` budget (the drain deadline is armed onto every in-flight and
-// later-created request token, labeled "drain budget" so responses
-// distinguish it from per-request deadlines), and wait_drained() blocks
-// until every accepted line has its response.  This is distinct from hard
-// shutdown(), which cancels the lifetime token and aborts in-flight work
-// as Cancelled.
+// lines are shed as "draining", on either entry path counted as an error
+// of their type; ping/stats/health still answer so load balancers see the
+// state flip), already-admitted work finishes under a `drain_ms` budget,
+// and wait_drained() blocks until every accepted line has its response.
+// The budget lives on ONE drain token, labeled "drain budget" at
+// construction and chained under the lifetime token; every analysis
+// request's token is chained under the drain token, so the one deadline
+// begin_drain() arms reaches queued and in-flight work alike, and a
+// drained-out response reads "drain budget exceeded" while a request's
+// own deadline still reads "deadline exceeded".  This is distinct from
+// hard shutdown(), which cancels the lifetime token and aborts in-flight
+// work as Cancelled.
 //
-// Per-request deadlines arm a FRESH CancelToken chained under the server's
-// lifetime token, and the session is rearm()ed with it for the duration of
-// the lease.  Failures map onto the typed error taxonomy in the response
+// Per-request deadlines arm a FRESH CancelToken (request -> drain ->
+// lifetime), and the session is rearm()ed with it for the duration of the
+// lease.  Failures map onto the typed error taxonomy in the response
 // envelope; an aborted stage never populates its memo slot, so a
 // deadline'd request can never poison the cache -- the next request for
 // the key simply reruns the stage.
@@ -52,7 +56,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -151,9 +154,10 @@ class Server {
     return drain_requested_.load(std::memory_order_acquire);
   }
 
-  /// SERVING -> DRAINING: stops admitting analysis work and arms the
-  /// drain-budget deadline (labeled "drain budget") on every in-flight
-  /// request token.  Idempotent.
+  /// SERVING -> DRAINING: arms the `drain_ms` budget on the drain token,
+  /// which every analysis request's token is chained under, then stops
+  /// admitting analysis work.  Idempotent: a repeated call never extends
+  /// the budget.
   void begin_drain();
 
   /// Blocks until every accepted line has been responded to, or
@@ -183,9 +187,6 @@ class Server {
   std::uint64_t retry_after_hint_ms() const;
 
   SessionCache& cache() { return cache_; }
-  const std::shared_ptr<CancelToken>& lifetime_token() const {
-    return lifetime_;
-  }
   AdmissionStats admission_stats() const { return queue_.stats(); }
   std::uint64_t rejected_connections() const {
     return rejected_connections_.load(std::memory_order_relaxed);
@@ -209,6 +210,10 @@ class Server {
   /// run_request.  A non-null `failure` receives the error kind of a
   /// failed request.
   std::string serve(const Request& request, std::optional<ErrorKind>* failure);
+  /// The drain shed, one step for both entry paths: nothing for the
+  /// control types or while serving; otherwise counts the line as a
+  /// request and an error of its type and returns the shed reply.
+  std::optional<std::string> drain_shed(const Request& request);
   std::string run_request(const Request& request);
   TypeCounters& counters_for(RequestType type);
   void ensure_dispatchers();
@@ -224,6 +229,9 @@ class Server {
   SessionOptions session_base_;
   SessionCache cache_;
   std::shared_ptr<CancelToken> lifetime_;
+  /// Chained under lifetime_, labeled "drain budget"; begin_drain() arms
+  /// its deadline.  Every analysis request's token is chained under it.
+  std::shared_ptr<CancelToken> drain_;
   AdmissionQueue queue_;
   std::atomic<std::uint64_t> malformed_{0};
   std::atomic<std::uint64_t> accepted_{0};
@@ -234,7 +242,6 @@ class Server {
 
   std::atomic<ServerState> state_{ServerState::kServing};
   std::atomic<bool> drain_requested_{false};
-  std::atomic<std::int64_t> drain_deadline_ns_{0};  ///< set by begin_drain
   std::atomic<std::int64_t> pending_{0};  ///< admitted lines awaiting response
   std::mutex drain_mutex_;
   std::condition_variable drained_cv_;
@@ -242,9 +249,6 @@ class Server {
   std::mutex dispatcher_mutex_;
   std::vector<std::thread> dispatchers_;
   bool dispatchers_stopped_ = false;
-
-  std::mutex active_mutex_;
-  std::list<std::weak_ptr<CancelToken>> active_tokens_;
 
   std::atomic<std::uint64_t> ewma_service_us_{500};
   std::atomic<std::uint64_t> rejected_connections_{0};

@@ -11,6 +11,12 @@ const char* to_string(Priority priority) {
   return priority == Priority::kBatch ? "batch" : "interactive";
 }
 
+SessionOptions session_options(const CacheKey& key, SessionOptions base) {
+  base.max_inputs = key.max_inputs;
+  base.representation = key.representation;
+  return base;
+}
+
 SessionCache::SessionCache(std::size_t budget_bytes, SessionOptions base)
     : budget_bytes_(budget_bytes), base_(base) {
   stats_.budget_bytes = budget_bytes;
@@ -65,10 +71,8 @@ SessionCache::Lease SessionCache::acquire(const CacheKey& key,
   Lease lease(this, entry, hit);
   if (entry->session == nullptr) {
     try {
-      SessionOptions options = base_;
-      options.max_inputs = key.max_inputs;
-      options.representation = key.representation;
-      entry->session = std::make_unique<AnalysisSession>(key.circuit, options);
+      entry->session = std::make_unique<AnalysisSession>(
+          key.circuit, session_options(key, base_));
     } catch (...) {
       // Never leave a session-less entry resident: later acquires would
       // keep retrying a key that cannot construct (bad circuit name).

@@ -79,6 +79,12 @@ struct CacheKey {
   }
 };
 
+/// The options a session for `key` is built with: `base` (thread width,
+/// deadlines) with the key's result-relevant fields applied.  The one
+/// definition of what a key computes, for the cache and for clients that
+/// recompute served results.
+SessionOptions session_options(const CacheKey& key, SessionOptions base);
+
 /// Cache telemetry; every counter is cumulative since construction except
 /// bytes/entries, which are the current residency.
 struct SessionCacheStats {

@@ -52,7 +52,7 @@ void CancelToken::set_deadline(std::chrono::steady_clock::time_point deadline) {
 
 void CancelToken::label_deadline(const std::string& label) {
   const std::lock_guard<std::mutex> lock(reason_mutex_);
-  if (deadline_label_.empty()) deadline_label_ = label;
+  if (deadline_reason_.empty()) deadline_reason_ = label + " exceeded";
 }
 
 void CancelToken::chain_parent(std::shared_ptr<const CancelToken> parent) {
@@ -70,18 +70,23 @@ bool CancelToken::cancelled() const {
     return true;
   }
   if (parent_ != nullptr && parent_->cancelled()) {
-    // Latch the parent's state so kind()/reason() tell the parent's story
-    // (first writer wins; a concurrent own-cancel keeps its own reason).
+    // Latch the parent's state so kind()/reason() tell the parent's story:
+    // a parent deadline replaces this token's own label, and a parent
+    // cancel's reason is first writer wins (a concurrent own-cancel keeps
+    // its own reason).
+    const bool by_deadline = parent_->kind() == ErrorKind::kDeadlineExceeded;
+    const std::string parent_reason = parent_->reason();
     {
       const std::lock_guard<std::mutex> lock(reason_mutex_);
-      if (reason_.empty()) reason_ = parent_->reason();
+      if (by_deadline)
+        deadline_reason_ = parent_reason;
+      else if (reason_.empty())
+        reason_ = parent_reason;
     }
     int expected = kLive;
-    state_.compare_exchange_strong(
-        expected,
-        parent_->kind() == ErrorKind::kDeadlineExceeded ? kByDeadline
-                                                        : kByCaller,
-        std::memory_order_relaxed);
+    state_.compare_exchange_strong(expected,
+                                   by_deadline ? kByDeadline : kByCaller,
+                                   std::memory_order_relaxed);
     return true;
   }
   return false;
@@ -96,9 +101,7 @@ ErrorKind CancelToken::kind() const {
 std::string CancelToken::reason() const {
   const std::lock_guard<std::mutex> lock(reason_mutex_);
   if (state_.load(std::memory_order_relaxed) == kByDeadline)
-    return (deadline_label_.empty() ? std::string("deadline")
-                                    : deadline_label_) +
-           " exceeded";
+    return deadline_reason_.empty() ? "deadline exceeded" : deadline_reason_;
   return reason_.empty() ? "cancelled" : reason_;
 }
 

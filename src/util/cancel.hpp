@@ -113,20 +113,23 @@ class CancelToken {
   void set_deadline(std::chrono::steady_clock::time_point deadline);
 
   /// Names the deadline so a fired one reports "<label> exceeded" instead
-  /// of the generic "deadline exceeded" -- the serving layer labels its
-  /// drain budget this way, keeping a drained-out request distinguishable
-  /// from an ordinary per-request deadline in responses and logs.  The
-  /// error KIND stays kDeadlineExceeded either way (drain is a deadline,
-  /// not a caller cancel).  First label wins; thread-safe (a drain may
-  /// label tokens already shared with pollers).
+  /// of the generic "deadline exceeded".  The serving layer labels its one
+  /// drain token "drain budget"; request tokens chained under it inherit
+  /// the message (chain_parent), so a drained-out request stays
+  /// distinguishable from an ordinary per-request deadline in responses
+  /// and logs.  The error KIND stays kDeadlineExceeded either way (drain is
+  /// a deadline, not a caller cancel).  First label wins; thread-safe.
   void label_deadline(const std::string& label);
 
   /// Chains a parent token: once the parent fires, this token latches with
-  /// the parent's kind and reason on the next poll, so a batch- or
-  /// server-wide cancel propagates into every per-request token without the
-  /// requests sharing deadline state.  Must be called before the token is
-  /// shared with pollers (the parent pointer itself is not synchronized);
-  /// the parent is held alive by the shared_ptr.  One parent per token.
+  /// the parent's kind AND reason on the next poll -- a fired parent
+  /// deadline reads as the parent's "<label> exceeded", not as this
+  /// token's own -- so a batch- or server-wide cancel or budget propagates
+  /// into every per-request token without the requests sharing deadline
+  /// state.  Chains nest; each level adds its own checks to every live
+  /// poll.  Must be called before the token is shared with pollers (the
+  /// parent pointer itself is not synchronized); the parent is held alive
+  /// by the shared_ptr.  One parent per token.
   void chain_parent(std::shared_ptr<const CancelToken> parent);
 
   bool has_deadline() const {
@@ -164,7 +167,9 @@ class CancelToken {
   mutable std::atomic<std::int64_t> deadline_ns_{kNoDeadline};
   mutable std::mutex reason_mutex_;
   mutable std::string reason_;
-  std::string deadline_label_;  ///< guarded by reason_mutex_ (label_deadline)
+  /// "<label> exceeded", or a fired parent's deadline reason; guarded by
+  /// reason_mutex_.
+  mutable std::string deadline_reason_;
   std::shared_ptr<const CancelToken> parent_;  ///< set-once, pre-sharing
 };
 

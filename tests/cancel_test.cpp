@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -85,6 +86,41 @@ TEST(CancelToken, ExplicitCancelBeatsLaterDeadline) {
   token.set_deadline_after_ms(0);
   EXPECT_EQ(token.kind(), ErrorKind::kCancelled);
   EXPECT_EQ(token.reason(), "caller first");
+}
+
+TEST(CancelToken, ChainedTokenReportsTheParentsLabeledDeadline) {
+  // ndetd's chain: request -> drain ("drain budget") -> lifetime.
+  auto lifetime = std::make_shared<CancelToken>();
+  auto drain = std::make_shared<CancelToken>();
+  drain->chain_parent(lifetime);
+  drain->label_deadline("drain budget");
+  auto request = std::make_shared<CancelToken>();
+  request->chain_parent(drain);
+  EXPECT_FALSE(request->cancelled());
+
+  drain->set_deadline(std::chrono::steady_clock::now());
+  EXPECT_TRUE(drain->cancelled());
+  EXPECT_EQ(drain->kind(), ErrorKind::kDeadlineExceeded);
+  EXPECT_EQ(drain->reason(), "drain budget exceeded");
+  EXPECT_TRUE(request->cancelled());
+  EXPECT_EQ(request->kind(), ErrorKind::kDeadlineExceeded);
+  EXPECT_EQ(request->reason(), "drain budget exceeded");
+  try {
+    request->check("fault_sim");
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kDeadlineExceeded);
+    EXPECT_STREQ(e.what(), "drain budget exceeded [stage fault_sim]");
+  }
+
+  // A request's own deadline keeps the generic message under a live drain.
+  auto live_drain = std::make_shared<CancelToken>();
+  live_drain->label_deadline("drain budget");
+  CancelToken own;
+  own.chain_parent(live_drain);
+  own.set_deadline(std::chrono::steady_clock::now());
+  EXPECT_TRUE(own.cancelled());
+  EXPECT_EQ(own.reason(), "deadline exceeded");
 }
 
 TEST(CancelToken, NullTokenHelpersAreNoOps) {

@@ -274,10 +274,12 @@ void overload_drain_cycle(std::uint32_t seed, bool drain_mid_load) {
     });
   }
   if (drain_mid_load) {
-    // Drain while the clients are still submitting: late lines shed as
-    // draining, admitted lines finish or hit the drain budget -- either
-    // way they respond.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    // Drain at the first response, while the clients are still submitting
+    // and the flood still holds lines in the queue: queued lines dispatch
+    // in drain mode (the serve.drain site), late lines shed as draining,
+    // and admitted lines finish or hit the drain budget -- either way they
+    // respond.
+    while (responses.load() == 0) std::this_thread::yield();
     server.begin_drain();
   }
   for (std::thread& client : clients) client.join();
@@ -310,7 +312,10 @@ TEST(Chaos, DrainUnderLoadAnswersEveryLineAndLeaksNothing) {
   }
   overload_drain_cycle(19450508, /*drain_mid_load=*/true);
   overload_drain_cycle(19391101, /*drain_mid_load=*/true);
-  if (fault_inject::kCompiled) fault_inject::disarm_all();
+  if (fault_inject::kCompiled) {
+    EXPECT_GT(fault_inject::poll_count("serve.drain"), 0u);
+    fault_inject::disarm_all();
+  }
 }
 
 TEST(Chaos, InjectedFaultsSurfaceAsTypedErrors) {

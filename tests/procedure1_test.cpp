@@ -371,34 +371,44 @@ TEST(Procedure1Parallel, BitIdenticalOnFsmSuiteDefinition2) {
   check_thread_invariance(db, all_monitored(db), config);
 }
 
-/// Pins the fully serial shape (one thread, one set per batch group) on
-/// the CURRENT dispatch level as the reference, then demands bit-identical
-/// results from every {batch width} x {thread count} x {SIMD level}
-/// combination.  This is the acceptance contract of the batched saturation
-/// sweep: batching and dispatch are pure performance knobs, and the
-/// counter-addressed draws make every trajectory independent of how the
-/// work is grouped.
+/// Pins the K-set run on one thread at the CURRENT dispatch level as the
+/// reference, then demands bit-identical results from every {thread count}
+/// x {SIMD level} combination, and from every shorter N-set run: set k < N
+/// must evolve exactly as in the K-set run.  Groups hold the kernel width
+/// of consecutive sets and the last one the remainder, so as N grows set k
+/// runs in groups of width (k mod 8) + 1 up to 8.  This is the acceptance
+/// contract of the batched saturation sweep: grouping and dispatch are
+/// pure performance choices, and the counter-addressed draws make every
+/// trajectory independent of how the work is grouped.
 void check_batch_and_level_invariance(const DetectionDb& db,
                                       std::span<const std::size_t> monitored,
                                       Procedure1Config config) {
   const simd::Level original = simd::active_level();
   config.keep_test_sets = true;
-  config.batch_width = 1;
-  const AverageCaseResult serial =
+  const AverageCaseResult reference =
       run_procedure1(db, monitored, config, ThreadPool(1));
   for (const simd::Level level : runnable_levels()) {
     simd::set_level_for_testing(level);
-    for (const std::size_t width : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{8}, std::size_t{0}}) {
-      for (const unsigned threads : {1u, 0u, 2u, 8u}) {
-        config.batch_width = width;
-        const AverageCaseResult run =
-            run_procedure1(db, monitored, config, ThreadPool(threads));
-        SCOPED_TRACE(std::string("level=") + simd::level_name(level) +
-                     " width=" + std::to_string(width) +
-                     " threads=" + std::to_string(threads));
-        expect_identical_runs(serial, run);
-      }
+    for (const unsigned threads : {1u, 0u, 2u, 8u}) {
+      const AverageCaseResult run =
+          run_procedure1(db, monitored, config, ThreadPool(threads));
+      SCOPED_TRACE(std::string("level=") + simd::level_name(level) +
+                   " threads=" + std::to_string(threads));
+      expect_identical_runs(reference, run);
+    }
+    for (std::size_t sets = 1; sets < config.num_sets; ++sets) {
+      Procedure1Config prefix = config;
+      prefix.num_sets = sets;
+      const AverageCaseResult run =
+          run_procedure1(db, monitored, prefix, ThreadPool(1));
+      SCOPED_TRACE(std::string("level=") + simd::level_name(level) +
+                   " sets=" + std::to_string(sets));
+      auto test_sets = reference.test_sets;
+      auto set_sizes = reference.set_sizes;
+      for (auto& per_set : test_sets) per_set.resize(sets);
+      for (auto& per_set : set_sizes) per_set.resize(sets);
+      EXPECT_EQ(run.test_sets, test_sets);
+      EXPECT_EQ(run.set_sizes, set_sizes);
     }
   }
   simd::set_level_for_testing(original);

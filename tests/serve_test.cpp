@@ -903,6 +903,46 @@ TEST(Server, DrainBudgetDeadlinesOverBudgetWork) {
   EXPECT_TRUE(server.wait_drained(30000));
 }
 
+TEST(Server, OwnDeadlineDuringDrainIsNotTheDrainBudget) {
+  ServerOptions options = small_server();
+  options.drain_ms = 60000;  // the drain budget cannot be what fires
+  Server server(options);
+
+  std::promise<std::string> slow_promise;
+  std::future<std::string> slow_future = slow_promise.get_future();
+  server.submit(
+      R"({"id":1,"type":"worst_case","circuit":"keyb","deadline_ms":20})",
+      [&](std::string&& r) { slow_promise.set_value(std::move(r)); });
+  server.begin_drain();
+
+  const std::string response = slow_future.get();
+  const json::Value reply = json::parse(response);
+  const json::Value& error = reply.at("error");
+  EXPECT_EQ(error.at("kind").as_string(), "deadline_exceeded") << response;
+  const std::string message = error.at("message").as_string();
+  EXPECT_NE(message.find("deadline exceeded"), std::string::npos) << response;
+  EXPECT_EQ(message.find("drain budget"), std::string::npos) << response;
+  EXPECT_TRUE(server.wait_drained(30000));
+}
+
+TEST(Server, DrainShedCountsAsAnErrorOnEveryEntryPath) {
+  const std::string line = R"({"id":1,"type":"worst_case","circuit":"bbtas"})";
+  for (const bool via_submit : {false, true}) {
+    SCOPED_TRACE(via_submit ? "submit" : "handle_line");
+    Server server(small_server());
+    server.begin_drain();
+    const std::string reply =
+        via_submit ? submit_sync(server, line) : server.handle_line(line);
+    EXPECT_TRUE(is_shed_response(reply)) << reply;
+    const json::Value stats =
+        json::parse(server.handle_line(R"({"id":2,"type":"stats"})"));
+    const json::Value& worst_case =
+        stats.at("result").at("requests").at("worst_case");
+    EXPECT_EQ(worst_case.at("count").as_uint64(), 1u);
+    EXPECT_EQ(worst_case.at("errors").as_uint64(), 1u);
+  }
+}
+
 TEST(Server, StatsExposeAdmissionAndPriorityTelemetry) {
   ServerOptions options = small_server();
   options.concurrency = 1;
