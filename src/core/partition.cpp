@@ -235,19 +235,15 @@ std::vector<ConeReport> partitioned_worst_case(
   check_cancel(cancel, "partitioned");
   const std::vector<Circuit> cones = partition_by_outputs(circuit, partition);
   std::vector<ConeReport> reports(cones.size());
-  // One worker per cone, with the pool width split evenly among the cones'
-  // nested builds and sweeps (full width for a single cone).  The static
-  // floor division can idle a few threads on uneven partitions -- accepted
-  // in exchange for never oversubscribing.  Thread counts never change
-  // results, only wall time; each worker writes only its own slot.
-  const unsigned outer = std::max(1u, pool.workers_for(cones.size()));
-  const unsigned inner = std::max(1u, pool.thread_count() / outer);
+  // One worker per cone; the cones' nested builds and sweeps run on the
+  // same pool, whose helpers join a nested call only while threads are
+  // idle (util/thread_pool.hpp).  Thread counts never change results, only
+  // wall time; each worker writes only its own slot.
   pool.for_each_index(cones.size(), [&](std::size_t c, unsigned) {
     const Circuit& cone = cones[c];
-    const ThreadPool inner_pool(inner);
     const DetectionDb db =
-        DetectionDb::build(cone, DetectionDbOptions{}, inner_pool, cancel);
-    const WorstCaseResult worst = analyze_worst_case(db, inner_pool, cancel);
+        DetectionDb::build(cone, DetectionDbOptions{}, pool, cancel);
+    const WorstCaseResult worst = analyze_worst_case(db, pool, cancel);
     ConeReport report;
     report.cone_name = cone.name();
     report.inputs = cone.input_count();

@@ -85,8 +85,8 @@ std::string to_json(const ConeReport& report);
 /// Partitions the circuit per `partition` and runs the worst-case analysis
 /// on every cone.  Cones are independent, so they are sharded across the
 /// caller-owned worker pool (AnalysisSession shares one pool across every
-/// stage), and the remaining pool width is split evenly among the cones'
-/// nested builds/sweeps (a single cone gets the full pool).  Reports are
+/// stage), and the cones' nested builds/sweeps run on the same pool, whose
+/// idle helpers join them (util/thread_pool.hpp).  Reports are
 /// index-aligned with the cone list, so the output is identical at every
 /// thread count.  A non-null `cancel` is polled between cone claims and
 /// inside every nested build and sweep; a fired token raises Error with

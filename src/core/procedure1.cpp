@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <unordered_set>
 
 #include "core/pair_kernels.hpp"
 #include "sim/ternary_sim.hpp"
@@ -494,8 +495,18 @@ AverageCaseResult run_procedure1(const DetectionDb& db,
     result.stats.def1_fallbacks += set.stats.def1_fallbacks;
     result.stats.distinct_queries += set.stats.distinct_queries;
   }
-  for (const auto& oracle : oracles)
-    if (oracle) result.def2_cache += oracle->stats();
+  // Verdict counters sum over the workers' oracles.  A cube that two
+  // workers both simulated counts once, so good_sim_entries is the number
+  // of distinct cubes the run queried, the same at every pool width.
+  std::unordered_set<std::uint64_t> cubes;
+  for (const auto& oracle : oracles) {
+    if (!oracle) continue;
+    const Def2OracleStats shard = oracle->stats();
+    result.def2_cache.verdict_hits += shard.verdict_hits;
+    result.def2_cache.verdict_misses += shard.verdict_misses;
+    oracle->add_good_keys(cubes);
+  }
+  result.def2_cache.good_sim_entries = cubes.size();
   return result;
 }
 

@@ -100,11 +100,13 @@ struct AverageCaseResult {
 
   Procedure1Stats stats;
 
-  /// Oracle cache telemetry summed across the engine's workers (Def-2 runs
-  /// only; zero otherwise).  Which sets share a worker's caches depends on
-  /// scheduling, so -- unlike Procedure1Stats -- these counters may vary
-  /// with the thread count and across runs; they report cache
-  /// effectiveness, not results.
+  /// Oracle cache telemetry merged across the engine's workers (Def-2 runs
+  /// only; zero otherwise).  good_sim_entries counts the distinct agreement
+  /// cubes simulated by any worker, so it is the same at every thread
+  /// count.  Which sets share a worker's verdict memo depends on
+  /// scheduling, so -- unlike Procedure1Stats -- verdict_hits and
+  /// verdict_misses may vary with the thread count and across runs; they
+  /// report cache effectiveness, not results.
   Def2OracleStats def2_cache;
 
   /// p(n, monitored[j]) = d / K.

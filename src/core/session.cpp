@@ -196,15 +196,14 @@ SessionStats AnalysisSession::stats() const {
 
 std::vector<AnalysisSession> run_batch(std::span<const SessionRequest> requests,
                                        const SessionOptions& options) {
-  // Whole circuits shard across the pool; the remaining width splits evenly
-  // among each circuit's nested stages (one circuit gets the full pool).
-  // Floor division can idle a few threads on uneven batches -- accepted in
-  // exchange for never oversubscribing.  Each worker owns its request's
-  // session end to end and writes one index-aligned slot, so the batch is
-  // bit-identical to running the requests one by one.
+  // Whole circuits shard across the pool, and every circuit's session is
+  // as wide as the pool: nested stages share the process's executor, whose
+  // helpers join only while fewer threads than the widest pool are inside
+  // job bodies.  All batch work runs inside this call's bodies, so the
+  // batch never oversubscribes, and a tail circuit gets the idle threads.  Each worker owns its request's session end to end and writes
+  // one index-aligned slot, so the batch is bit-identical to running the
+  // requests one by one.
   const ThreadPool pool(options.num_threads);
-  const unsigned outer = std::max(1u, pool.workers_for(requests.size()));
-  const unsigned inner = std::max(1u, pool.thread_count() / outer);
 
   // One effective token for the whole batch, armed once up front: every
   // session shares it, so a deadline or caller cancel stops in-flight
@@ -215,7 +214,6 @@ std::vector<AnalysisSession> run_batch(std::span<const SessionRequest> requests,
     batch_token->set_deadline_after_ms(options.deadline_ms);
   }
   SessionOptions per_circuit = options;
-  per_circuit.num_threads = inner;
   per_circuit.cancel_token = batch_token;
   per_circuit.deadline_ms = 0;  // already armed on the shared token
 

@@ -213,8 +213,8 @@ struct SessionRequest {
 };
 
 /// Runs every request's pipeline with whole circuits sharded across the
-/// worker pool (options.num_threads wide; the remaining width is split
-/// evenly among each circuit's nested stages, as in partitioned_worst_case)
+/// worker pool (options.num_threads wide; each circuit's session is as wide
+/// and shares the executor's helpers with the others, util/thread_pool.hpp)
 /// and returns the completed sessions index-aligned with the requests.
 /// Results are bit-identical to running each request's session serially.
 /// options.deadline_ms / options.cancel_token cover the WHOLE batch: one

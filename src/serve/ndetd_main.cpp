@@ -4,9 +4,12 @@
 // loopback TCP socket (--listen=PORT), or answers one request line from
 // stdin (--oneshot); one of the two is required.  Requests are dispatched
 // concurrently (--concurrency dispatcher threads) onto cached
-// AnalysisSessions bounded by the --cache-bytes LRU budget.  Admission is
-// bounded (--queue-depth / --queue-bytes) with priority-laned shedding,
-// and TCP clients are capped by --max-connections.
+// AnalysisSessions bounded by the --cache-bytes LRU budget.  --threads=N
+// (0 = all hardware threads) is the compute budget: every session runs N
+// wide, and the in-flight requests share one executor of N - 1 persistent
+// helper threads, so a lone request gets all N (DESIGN.md "Analysis as a
+// service").  Admission is bounded (--queue-depth / --queue-bytes) with
+// priority-laned shedding, and TCP clients are capped by --max-connections.
 //
 //   ndetd --listen=0   # prints "ndetd: listening on 127.0.0.1:PORT"
 //   echo '{"id":1,"type":"worst_case","circuit":"bbtas"}' | ndetd --oneshot

@@ -28,17 +28,6 @@ double elapsed_ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-SessionOptions base_options(const ServerOptions& options) {
-  // The outer/inner width split of run_batch: `concurrency` dispatchers
-  // each drive one session at a time, so per-session pools get an even
-  // share of the total budget and the machine is never oversubscribed.
-  SessionOptions base;
-  const unsigned total = resolve_thread_count(options.threads);
-  const unsigned outer = std::max(1u, options.concurrency);
-  base.num_threads = std::max(1u, total / outer);
-  return base;
-}
-
 /// The error reply to a line that did not parse.  It echoes what the line
 /// says about itself, so a pipelining client can match the reply: a JSON
 /// object's "type" when that names a request type, and its "id" when that
@@ -123,7 +112,7 @@ const char* to_string(ServerState state) {
 
 Server::Server(ServerOptions options)
     : options_(options),
-      session_base_(base_options(options)),
+      session_base_{.num_threads = resolve_thread_count(options.threads)},
       cache_(options.cache_bytes, session_base_),
       lifetime_(std::make_shared<CancelToken>()),
       drain_(std::make_shared<CancelToken>()),
@@ -252,9 +241,12 @@ std::optional<std::string> Server::drain_shed(const Request& request) {
   // The control types stay answerable so load balancers observe the state.
   if (is_control_type(request.type) || state() == ServerState::kServing)
     return std::nullopt;
-  TypeCounters& counters = counters_for(request.type);
-  counters.requests.fetch_add(1, std::memory_order_relaxed);
-  counters.errors.fetch_add(1, std::memory_order_relaxed);
+  for (TypeCounters* counters :
+       {&counters_for(request.type),
+        &by_priority_[static_cast<std::size_t>(request.priority)]}) {
+    counters->requests.fetch_add(1, std::memory_order_relaxed);
+    counters->errors.fetch_add(1, std::memory_order_relaxed);
+  }
   return shed_response(request.id, to_string(request.type),
                        "server draining: not admitting new analysis work",
                        retry_after_hint_ms());

@@ -18,9 +18,14 @@
 // the line's transport responder.
 // Requests for different circuits run concurrently; requests for the same
 // cache key serialize on the entry's lease (interactive acquires first).
-// The thread-width budget is split so the machine is never oversubscribed:
-// each cached session's fork-join pool is `threads / concurrency` wide
-// (the same outer/inner split run_batch uses).
+// Every cached session is `threads` wide and shares the process's one
+// executor of persistent helper threads (util/thread_pool.hpp): a
+// dispatcher runs its own request's worker slots, and the threads - 1
+// helpers join whichever request has slots while fewer than `threads`
+// threads are inside parallel stages.  A lone request therefore gets the
+// whole budget and concurrent requests share it.  A dispatcher's serial
+// steps (parsing, a stage's set-up, JSON) are not counted, so a helper
+// may join one request while another runs such a step.
 //
 // Lifecycle: request_drain() (async-signal-safe) or begin_drain() moves
 // the server from SERVING to DRAINING -- admission stops (new analysis
@@ -212,7 +217,8 @@ class Server {
   std::string serve(const Request& request, std::optional<ErrorKind>* failure);
   /// The drain shed, one step for both entry paths: nothing for the
   /// control types or while serving; otherwise counts the line as a
-  /// request and an error of its type and returns the shed reply.
+  /// request and an error of its type and of its priority lane, and
+  /// returns the shed reply.
   std::optional<std::string> drain_shed(const Request& request);
   std::string run_request(const Request& request);
   TypeCounters& counters_for(RequestType type);
@@ -226,6 +232,8 @@ class Server {
   bool overloaded() const;
 
   ServerOptions options_;
+  /// Every cached session is `threads` wide (resolved); the sessions share
+  /// the process's one executor (see the threading model above).
   SessionOptions session_base_;
   SessionCache cache_;
   std::shared_ptr<CancelToken> lifetime_;

@@ -18,10 +18,11 @@
 // Parallel engines shard the caches by giving every worker its own
 // instance -- construction is cheap (the simulator borrows the line model
 // and indexes the fanout cones once; the fault list is copied), distinct()
-// stays lock-free, and the workers' hit/miss telemetry is merged through
-// stats().  Verdicts are pure functions of (fault, agreement pattern), so
-// sharding never changes a result -- only which shard pays the miss
-// (DESIGN.md "Procedure-1 sharding").
+// stays lock-free, and the workers' telemetry is merged through stats()
+// (hit/miss counters) and add_good_keys() (the distinct cubes).  Verdicts
+// are pure functions of (fault, agreement pattern), so sharding never
+// changes a result -- only which shard pays the miss (DESIGN.md
+// "Procedure-1 sharding").
 
 #pragma once
 
@@ -29,6 +30,7 @@
 #include <cstdint>
 #include <span>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "faults/stuck_at.hpp"
@@ -74,19 +76,12 @@ class TernarySimulator {
   friend class Def2Oracle;
 };
 
-/// Cache counters of one Def2Oracle shard (merged across workers by the
-/// parallel Procedure-1 engine).
+/// Cache counters of one Def2Oracle shard, or of every shard of a run
+/// (merged by the parallel Procedure-1 engine).
 struct Def2OracleStats {
   std::uint64_t good_sim_entries = 0;  ///< cached fault-free ternary sims
   std::uint64_t verdict_hits = 0;
   std::uint64_t verdict_misses = 0;
-
-  Def2OracleStats& operator+=(const Def2OracleStats& other) {
-    good_sim_entries += other.good_sim_entries;
-    verdict_hits += other.verdict_hits;
-    verdict_misses += other.verdict_misses;
-    return *this;
-  }
 };
 
 /// Cached similarity oracle over a fixed fault list.
@@ -107,6 +102,12 @@ class Def2Oracle {
   /// Snapshot of this shard's cache counters.
   Def2OracleStats stats() const {
     return {good_cache_.size(), verdict_hits_, verdict_misses_};
+  }
+
+  /// Adds the agreement cubes this shard simulated fault-free to `cubes`,
+  /// so a union over shards counts each cube once.
+  void add_good_keys(std::unordered_set<std::uint64_t>& cubes) const {
+    for (const auto& entry : good_cache_) cubes.insert(entry.first);
   }
 
  private:

@@ -5,7 +5,7 @@
 // Procedure 1, the partitioned analysis) accepts an optional CancelToken and
 // polls it at natural scheduling boundaries -- between ThreadPool index
 // claims, between kernel tiles, between Procedure-1 iterations.  Polling at
-// fork-join claim boundaries bounds cancellation latency by ONE body
+// pool claim boundaries bounds cancellation latency by ONE body
 // invocation: a worker that has claimed an index finishes it, then observes
 // the token before claiming the next, so no lock, signal or thread kill is
 // ever needed and worker-owned scratch state unwinds normally.

@@ -33,6 +33,10 @@
 //                                Error{kInvalidInput}
 //   serve.cache_evict         -- session-cache eviction fails with
 //                                Error{kResourceExhausted}
+//   serve.queue_full          -- Server::submit sheds an admissible line as
+//                                if the admission queue were full
+//   serve.drain               -- a request dispatched while the server is
+//                                not serving fails with Error{kCancelled}
 
 #pragma once
 

@@ -1,19 +1,31 @@
-// thread_pool.hpp -- the shared fork-join worker pool.
+// thread_pool.hpp -- the shared worker pool.
 //
 // Every parallel sweep in the repository (batched fault simulation, the
-// worst-case nmin analysis, the partitioned analysis) follows the same
-// discipline: an index space is fanned out across std::thread workers with
-// dynamic (atomic counter) scheduling, results are written into
+// worst-case nmin analysis, Procedure 1, the partitioned analysis, batch
+// serving) follows the same discipline: an index space is fanned out across
+// workers with dynamic (atomic counter) scheduling, results are written into
 // index-aligned slots so the output is deterministic and independent of the
 // thread count, and the first worker exception aborts the remaining work and
 // is rethrown on the caller.  ThreadPool centralizes that discipline; it was
 // extracted from sim/batch_fault_sim.cpp so the analysis layer can reuse it
 // instead of growing a second hand-rolled pool.
 //
-// The pool is fork-join per call, not persistent: threads are spawned for
-// one for_each_index and joined before it returns.  That keeps call sites
-// free of lifetime concerns and matches the workloads here, where each call
-// processes an entire fault list and thread start-up cost is noise.
+// Execution model (DESIGN.md §4).  A ThreadPool owns no threads: it is a
+// width-limited view of ONE process-wide executor of persistent helper
+// threads that park on a condition variable between calls.  The executor
+// creates helpers lazily, up to the widest call's worker count minus one,
+// and joins them at process exit.  A for_each_index call runs
+// worker 0 on the calling thread and posts the other workers_for(count) - 1
+// worker slots to the executor; a parked helper claims a slot only while
+// fewer than helpers + 1 threads are inside job bodies (a thread counts
+// once, however deeply its calls nest), so no more threads than the widest
+// call run job bodies unless more callers than that are inside calls at
+// once.  Work a caller does outside any call is not counted.  When the
+// caller's own claim loop ends, the
+// index space is drained: the caller claims every slot no helper took
+// (such a slot would return at once) and waits only for the helpers
+// already inside its job.  Hence width 1 runs inline, nested calls cannot
+// deadlock, and no reference to the caller's frame outlives the call.
 //
 // Robustness contract (see DESIGN.md "Cancellation, deadlines, and error
 // taxonomy"):
@@ -45,7 +57,8 @@ namespace ndet {
 /// clamped to at least 1.
 unsigned resolve_thread_count(unsigned requested);
 
-/// Fork-join worker pool with dynamic index scheduling.
+/// Width-limited view of the process-wide executor, with dynamic index
+/// scheduling.
 class ThreadPool {
  public:
   /// `num_threads` = 0 picks std::thread::hardware_concurrency.
@@ -55,7 +68,8 @@ class ThreadPool {
   /// Resolved worker-pool width.
   unsigned thread_count() const { return num_threads_; }
 
-  /// Workers actually spawned for an index space of `count` elements.
+  /// Workers (the caller plus helper slots) for an index space of `count`
+  /// elements.
   unsigned workers_for(std::size_t count) const {
     return count < num_threads_ ? static_cast<unsigned>(count) : num_threads_;
   }
@@ -101,10 +115,11 @@ class ThreadPool {
   }
 
  private:
-  /// Spawns `workers` threads running `worker(id)`, joins them all, and
-  /// rethrows the first captured exception.  `failed` is set as soon as any
-  /// worker throws so the others can bail out of their scheduling loops.
-  /// A single worker runs on the calling thread.
+  /// Runs `worker(0)` on the calling thread and offers `worker(1)` ..
+  /// `worker(workers - 1)` to the executor's helpers, waits for the helpers
+  /// that took one, and rethrows the first captured exception.  `failed` is
+  /// set as soon as any worker throws so the others can bail out of their
+  /// scheduling loops.  A single worker runs inline.
   static void run_workers(unsigned workers,
                           const std::function<void(unsigned)>& worker,
                           std::atomic<bool>& failed);

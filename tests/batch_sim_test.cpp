@@ -4,11 +4,15 @@
 // T(f) and T(g) it produces is bit-identical to FaultSimulator's.  The suite
 // holds it to that across the FSM benchmark circuits (every machine small
 // enough for exhaustive simulation in test time), in explicit-vector (list)
-// mode, and under varying worker-pool widths.
+// mode, and under varying worker-pool widths.  It also pins the identity
+// that would let a bridge's set be composed from a stem stuck-at set and
+// the aggressor's fault-free values.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "core/detection_db.hpp"
@@ -73,6 +77,48 @@ TEST(BatchFaultSim, CrossValidatesAgainstReferenceOnFsmSuite) {
         enumerate_four_way_bridging(circuit, reach);
     expect_identical_sets(reference.detection_sets(bridges),
                           batched.detection_sets(bridges), name, "bridging");
+  }
+}
+
+/// The fault-free column of gate `g` when `value` is true; otherwise its
+/// complement, masked to the vector universe.
+Bitset value_column(const ExhaustiveSimulator& good, GateId g, bool value) {
+  Bitset column(good.vector_count());
+  for (std::size_t w = 0; w < good.word_count(); ++w)
+    column.words()[w] = value ? good.good_word(g, w) : ~good.good_word(g, w);
+  column.words()[good.word_count() - 1] &= good.last_word_mask();
+  return column;
+}
+
+TEST(BatchFaultSim, BridgeSetIsTheVictimStemFaultMaskedByTheAggressor) {
+  // A non-feedback bridge (l1, a1, l2, a2) changes only its victim l1, and
+  // only where the aggressor l2 carries a2, which the bridge cannot change:
+  // T(g) = T(stem(l1) stuck-at a2) & C, with C the aggressor's fault-free
+  // column at a2.  The per-fault reference injects the bridge itself, so it
+  // checks the identity independently on every enumerated bridge.
+  const std::vector<std::string> machines = cross_validation_machines();
+  ASSERT_GE(machines.size(), 10u);
+  for (const std::string& name : machines) {
+    const Circuit circuit = fsm_benchmark_circuit(name);
+    const LineModel lines(circuit);
+    const ExhaustiveSimulator good(circuit);
+    const FaultSimulator reference(good, lines);
+    const ReachMatrix reach(circuit);
+    const std::vector<BridgingFault> bridges =
+        enumerate_four_way_bridging(circuit, reach);
+    const std::vector<Bitset> sets = reference.detection_sets(bridges);
+    std::map<std::pair<GateId, bool>, Bitset> stem_sets;
+    for (std::size_t i = 0; i < bridges.size(); ++i) {
+      const BridgingFault& bridge = bridges[i];
+      const auto [stem, fresh] =
+          stem_sets.try_emplace({bridge.victim, bridge.aggressor_value});
+      if (fresh)
+        stem->second = reference.detection_set(StuckAtFault{
+            lines.stem_of(bridge.victim), bridge.aggressor_value});
+      ASSERT_EQ(sets[i], stem->second & value_column(good, bridge.aggressor,
+                                                     bridge.aggressor_value))
+          << name << " bridge " << to_string(bridge, circuit);
+    }
   }
 }
 

@@ -134,37 +134,6 @@ TEST(DetectionSet, UniverseMismatchThrows) {
   EXPECT_THROW((void)a.intersect_count(Bitset(128)), contract_error);
 }
 
-// --- ThreadPool -------------------------------------------------------------
-
-TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    const ThreadPool pool(threads);
-    EXPECT_EQ(pool.thread_count(), threads);
-    std::vector<int> hits(1000, 0);
-    pool.for_each_index(hits.size(), [&](std::size_t i, unsigned worker) {
-      EXPECT_LT(worker, pool.workers_for(hits.size()));
-      ++hits[i];
-    });
-    for (std::size_t i = 0; i < hits.size(); ++i)
-      ASSERT_EQ(hits[i], 1) << "index " << i << " threads " << threads;
-  }
-}
-
-TEST(ThreadPool, PropagatesWorkerExceptions) {
-  const ThreadPool pool(4);
-  EXPECT_THROW(pool.for_each_index(
-                   100,
-                   [&](std::size_t i, unsigned) {
-                     if (i == 37) throw contract_error("boom");
-                   }),
-               contract_error);
-}
-
-TEST(ThreadPool, ZeroRequestsAllHardwareThreads) {
-  EXPECT_GE(ThreadPool(0).thread_count(), 1u);
-  EXPECT_EQ(resolve_thread_count(3), 3u);
-}
-
 // --- Parallel / pruned analysis equivalence ---------------------------------
 
 /// The serial, unpruned, all-dense sweep: the paper-faithful baseline every

@@ -462,6 +462,31 @@ TEST(Procedure1Parallel, Def2CacheStatsAccountForEveryQuery) {
   }
 }
 
+TEST(Procedure1Parallel, Def2GoodSimEntriesCountDistinctCubesAtEveryWidth) {
+  // The benchmark's Definition-2 shape (bbara, nmax 2, K 48).  Workers
+  // whose sets meet the same agreement cube each simulate it, but the merge
+  // counts the union of their cubes, so the counter repeats at any width.
+  const DetectionDb db =
+      DetectionDb::build(fsm_benchmark_circuit("bbara"), {}, shared_pool());
+  const auto monitored = all_monitored(db);
+  Procedure1Config config;
+  config.nmax = 2;
+  config.num_sets = 48;
+  config.seed = 20050307;
+  config.definition = DetectionDefinition::kDissimilar;
+  const AverageCaseResult serial =
+      run_procedure1(db, monitored, config, ThreadPool(1));
+  EXPECT_GT(serial.def2_cache.good_sim_entries, 0u);
+  for (const unsigned threads : {2u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const AverageCaseResult result =
+        run_procedure1(db, monitored, config, ThreadPool(threads));
+    EXPECT_EQ(result.def2_cache.good_sim_entries,
+              serial.def2_cache.good_sim_entries);
+    EXPECT_EQ(result.stats.distinct_queries, serial.stats.distinct_queries);
+  }
+}
+
 TEST(Procedure1Parallel, Definition1LeavesCacheStatsEmpty) {
   const DetectionDb& db = paper_db();
   Procedure1Config config;

@@ -926,7 +926,10 @@ TEST(Server, OwnDeadlineDuringDrainIsNotTheDrainBudget) {
 }
 
 TEST(Server, DrainShedCountsAsAnErrorOnEveryEntryPath) {
-  const std::string line = R"({"id":1,"type":"worst_case","circuit":"bbtas"})";
+  // Counted once per type and once per priority lane, as a served line is,
+  // so the per-type and per-lane totals in stats agree during a drain.
+  const std::string line =
+      R"({"id":1,"type":"worst_case","circuit":"bbtas","priority":"batch"})";
   for (const bool via_submit : {false, true}) {
     SCOPED_TRACE(via_submit ? "submit" : "handle_line");
     Server server(small_server());
@@ -936,10 +939,12 @@ TEST(Server, DrainShedCountsAsAnErrorOnEveryEntryPath) {
     EXPECT_TRUE(is_shed_response(reply)) << reply;
     const json::Value stats =
         json::parse(server.handle_line(R"({"id":2,"type":"stats"})"));
-    const json::Value& worst_case =
-        stats.at("result").at("requests").at("worst_case");
-    EXPECT_EQ(worst_case.at("count").as_uint64(), 1u);
-    EXPECT_EQ(worst_case.at("errors").as_uint64(), 1u);
+    for (const json::Value* counters :
+         {&stats.at("result").at("requests").at("worst_case"),
+          &stats.at("result").at("priority").at("batch")}) {
+      EXPECT_EQ(counters->at("count").as_uint64(), 1u);
+      EXPECT_EQ(counters->at("errors").as_uint64(), 1u);
+    }
   }
 }
 

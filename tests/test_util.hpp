@@ -41,7 +41,8 @@ inline std::vector<simd::Level> runnable_levels() {
 }
 
 /// An all-hardware-threads pool for tests that do not vary the pool width
-/// (ThreadPool is fork-join per call, so one shared instance is free).
+/// (a ThreadPool is a view of the process's one executor, so one shared
+/// instance is free).
 inline const ThreadPool& shared_pool() {
   static const ThreadPool pool;
   return pool;
