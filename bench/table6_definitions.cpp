@@ -6,7 +6,7 @@
 //
 // Shape to compare: the Definition-2 rows dominate the Definition-1 rows --
 // e.g. the paper's keyb: 381 faults at p >= 0.8 under Def. 1 vs 440 under
-// Def. 2.  K defaults to 100 here (paper: 1000) because Definition-2
+// Def. 2.  K defaults to 60 here (paper: 1000) because Definition-2
 // counting is ~50x more expensive per set; raise with --k.
 
 #include <cstdio>

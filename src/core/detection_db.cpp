@@ -1,5 +1,7 @@
 #include "core/detection_db.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "netlist/reach.hpp"
@@ -37,7 +39,12 @@ DetectionDb DetectionDb::build(const Circuit& circuit,
     db.target_sets_.push_back(
         DetectionSet::freeze(std::move(set), options.representation));
 
-  // G: four-way bridging faults, keeping only the detectable ones.
+  // G: four-way bridging faults, keeping only the detectable ones, in
+  // enumeration order.  There are 50-180 times as many as targets, so
+  // the filter and the freezes run across the pool: one pass frees the
+  // undetectable dense sets, a serial scan places the survivors, and a
+  // second pass freezes each survivor straight into its slot of G.  At
+  // width 1 both passes run inline, in enumeration order.
   check_cancel(cancel, "detection_db");
   const ReachMatrix reach(*db.circuit_);
   const std::vector<BridgingFault> enumerated =
@@ -45,12 +52,27 @@ DetectionDb DetectionDb::build(const Circuit& circuit,
   db.enumerated_untargeted_ = enumerated.size();
   std::vector<Bitset> enumerated_sets =
       simulator.detection_sets(enumerated, cancel);
-  for (std::size_t i = 0; i < enumerated.size(); ++i) {
-    if (enumerated_sets[i].none()) continue;
-    db.untargeted_.push_back(enumerated[i]);
-    db.untargeted_sets_.push_back(DetectionSet::freeze(
-        std::move(enumerated_sets[i]), options.representation));
-  }
+  std::vector<std::uint8_t> detectable(enumerated.size(), 0);
+  pool.for_each_index(enumerated.size(), [&](std::size_t i, unsigned) {
+    if (enumerated_sets[i].none())
+      enumerated_sets[i] = Bitset();
+    else
+      detectable[i] = 1;
+  }, cancel);
+  check_cancel(cancel, "detection_db");
+  std::vector<std::size_t> source;  // G index -> enumeration index
+  source.reserve(static_cast<std::size_t>(std::ranges::count(detectable, 1)));
+  for (std::size_t i = 0; i < enumerated.size(); ++i)
+    if (detectable[i] != 0) source.push_back(i);
+  db.untargeted_.reserve(source.size());
+  for (const std::size_t i : source) db.untargeted_.push_back(enumerated[i]);
+  db.untargeted_sets_.resize(source.size());
+  pool.for_each_index(source.size(), [&](std::size_t j, unsigned) {
+    db.untargeted_sets_[j] =
+        DetectionSet::freeze(std::move(enumerated_sets[source[j]]),
+                             options.representation);
+  }, cancel);
+  check_cancel(cancel, "detection_db");
   return db;
 }
 

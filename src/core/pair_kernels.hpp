@@ -56,6 +56,7 @@
 
 #include "util/bitset.hpp"
 #include "util/detection_set.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ndet {
 
@@ -124,7 +125,8 @@ class PairKernelEngine {
                          std::size_t width, std::uint32_t* out) const;
 
   /// Per-worker state for nmin_batch; buffers are reused across calls.
-  struct Scratch {
+  /// Aligned so that workers' scratch in one array share no cache line.
+  struct alignas(kCacheLineBytes) Scratch {
     std::uint64_t best[kBatchWidth] = {};
     std::uint32_t size_g[kBatchWidth] = {};
     const Bitset::word_type* words_g[kBatchWidth] = {};

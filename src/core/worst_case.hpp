@@ -82,8 +82,8 @@ std::uint64_t nmin_of(const DetectionSet& untargeted_set,
 /// caller-owned worker pool (AnalysisSession shares one pool across every
 /// stage) and the N(f)-sorted prune fires tile by tile.  Bit-identical to
 /// the serial unpruned nmin_of sweep at every thread count, representation
-/// policy and SIMD dispatch level.  A non-null `cancel` is polled between
-/// batch claims; a fired token raises Error with stage "worst_case".
+/// policy and SIMD dispatch level.  A non-null `cancel` is polled before
+/// every batch; a fired token raises Error with stage "worst_case".
 WorstCaseResult analyze_worst_case(const DetectionDb& db,
                                    const ThreadPool& pool,
                                    const CancelToken* cancel = nullptr);

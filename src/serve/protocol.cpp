@@ -27,6 +27,13 @@ Priority parse_priority(const std::string& name) {
 
 namespace {
 
+/// Caps on Procedure 1's served parameters.  K = 10^5 already pins p(n,g)
+/// to within +-0.31 points at 95 % confidence.  Without the caps, one
+/// request could exhaust the heap (K sizes allocations up front) or hold a
+/// worker far past its deadline (Definition 2's probe loop polls none).
+constexpr std::uint64_t kMaxNumSets = 100'000;
+constexpr std::uint64_t kMaxDef2ProbeLimit = 1'024;
+
 RequestType parse_type(const std::string& name) {
   if (name == "worst_case") return RequestType::kWorstCase;
   if (name == "average_case") return RequestType::kAverageCase;
@@ -123,16 +130,21 @@ Request parse_request(const std::string& line) {
       request.average.nmax = static_cast<int>(nmax);
     }
     if (const json::Value* v = root.find("num_sets")) {
-      request.average.num_sets = static_cast<std::size_t>(v->as_uint64());
-      require(request.average.num_sets >= 1, "num_sets must be >= 1");
+      const std::uint64_t num_sets = v->as_uint64();
+      require(num_sets >= 1 && num_sets <= kMaxNumSets,
+              "num_sets must be in [1, 100000]");
+      request.average.num_sets = static_cast<std::size_t>(num_sets);
     }
     if (const json::Value* v = root.find("seed"))
       request.average.seed = v->as_uint64();
     if (const json::Value* v = root.find("definition"))
       request.average.definition = parse_definition(v->as_string());
-    if (const json::Value* v = root.find("def2_probe_limit"))
-      request.average.def2_probe_limit =
-          static_cast<std::size_t>(v->as_uint64());
+    if (const json::Value* v = root.find("def2_probe_limit")) {
+      const std::uint64_t limit = v->as_uint64();
+      require(limit <= kMaxDef2ProbeLimit,
+              "def2_probe_limit must be in [0, 1024]");
+      request.average.def2_probe_limit = static_cast<std::size_t>(limit);
+    }
     if (const json::Value* v = root.find("keep_test_sets"))
       request.average.keep_test_sets = v->as_bool();
   } else if (request.type == RequestType::kPartition) {

@@ -18,10 +18,11 @@
 //     changed.  Gate functions are deterministic, so the skipped work could
 //     only have reproduced fault-free values -- results stay bit-identical;
 //   * batch calls fan the fault list out across the shared ThreadPool
-//     (util/thread_pool.hpp) with dynamic (atomic counter) scheduling.
-//     Results are written into index-aligned slots, so the output is
-//     deterministic and independent of the thread count and of scheduling
-//     order.
+//     (util/thread_pool.hpp) with dynamic scheduling: a worker claims a
+//     contiguous chunk of faults per atomic increment, so neighbouring
+//     result slots are written by one worker.  Results are written into
+//     index-aligned slots, so the output is deterministic and independent
+//     of the thread count and of scheduling order.
 //
 // Injection semantics are identical to FaultSimulator (stem stuck-at, branch
 // stuck-at, four-way non-feedback bridging), and the computed T(f)/T(g) sets
@@ -42,10 +43,9 @@
 #include "sim/exhaustive.hpp"
 #include "util/bitset.hpp"
 #include "util/cancel.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ndet {
-
-class ThreadPool;
 
 /// Batched detection-set engine over a prebuilt fault-free simulation.
 class BatchFaultSimulator {
@@ -56,8 +56,8 @@ class BatchFaultSimulator {
                       const ThreadPool& pool);
 
   /// T(f) for every fault, index-aligned with the input span.  Fans out
-  /// across the worker pool.  A non-null `cancel` is polled between fault
-  /// claims; a fired token surfaces as Error{kCancelled|kDeadlineExceeded}
+  /// across the worker pool.  A non-null `cancel` is polled before every
+  /// fault; a fired token surfaces as Error{kCancelled|kDeadlineExceeded}
   /// with stage "fault_sim".
   std::vector<Bitset> detection_sets(std::span<const StuckAtFault> faults,
                                      const CancelToken* cancel = nullptr) const;
@@ -88,8 +88,10 @@ class BatchFaultSimulator {
   };
 
   /// Per-thread reusable buffers.  `in_cone` uses epoch stamping so marking
-  /// the next fault's cone is O(|cone|) with no clearing pass.
-  struct Scratch {
+  /// the next fault's cone is O(|cone|) with no clearing pass.  Aligned so
+  /// that a worker's per-fault `epoch` write does not share a line with the
+  /// next worker's buffer pointers.
+  struct alignas(kCacheLineBytes) Scratch {
     std::vector<std::uint64_t> faulty;   ///< per-gate faulty word column
     std::vector<std::uint64_t> fanins;   ///< packed fanin words of one gate
     std::vector<std::uint32_t> in_cone;  ///< epoch stamps, by gate id

@@ -94,11 +94,6 @@ class Def2Oracle {
   /// common vector t12 does not detect the fault.
   bool distinct(std::size_t fault_index, std::uint64_t t1, std::uint64_t t2);
 
-  /// Cache statistics (for the perf bench).
-  std::size_t good_cache_size() const { return good_cache_.size(); }
-  std::size_t verdict_cache_hits() const { return verdict_hits_; }
-  std::size_t verdict_cache_misses() const { return verdict_misses_; }
-
   /// Snapshot of this shard's cache counters.
   Def2OracleStats stats() const {
     return {good_cache_.size(), verdict_hits_, verdict_misses_};

@@ -20,9 +20,9 @@
 //
 // Site registry (kept in sync with DESIGN.md "Cancellation, deadlines, and
 // error taxonomy"):
-//   thread_pool.worker_throw  -- a worker throws Error{kInternal} between
-//                                index claims
-//   thread_pool.slow_worker   -- a worker sleeps ~1ms between index claims
+//   thread_pool.worker_throw  -- a worker throws Error{kInternal} before
+//                                a body
+//   thread_pool.slow_worker   -- a worker sleeps ~1ms before a body
 //   detection_db.alloc        -- DetectionDb::build fails with
 //                                Error{kResourceExhausted}
 //   pair_kernels.pack         -- tile packing fails with

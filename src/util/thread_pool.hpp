@@ -3,10 +3,11 @@
 // Every parallel sweep in the repository (batched fault simulation, the
 // worst-case nmin analysis, Procedure 1, the partitioned analysis, batch
 // serving) follows the same discipline: an index space is fanned out across
-// workers with dynamic (atomic counter) scheduling, results are written into
-// index-aligned slots so the output is deterministic and independent of the
-// thread count, and the first worker exception aborts the remaining work and
-// is rethrown on the caller.  ThreadPool centralizes that discipline; it was
+// workers with dynamic scheduling (each atomic claim takes a contiguous
+// chunk of indices, see chunk_for), results are written into index-aligned
+// slots so the output is deterministic and independent of the thread
+// count, and the first worker exception aborts the remaining work and is
+// rethrown on the caller.  ThreadPool centralizes that discipline; it was
 // extracted from sim/batch_fault_sim.cpp so the analysis layer can reuse it
 // instead of growing a second hand-rolled pool.
 //
@@ -30,9 +31,10 @@
 // Robustness contract (see DESIGN.md "Cancellation, deadlines, and error
 // taxonomy"):
 //   * for_each_index takes an optional CancelToken.  Workers poll it
-//     between index claims, so cancellation latency is bounded by one body
-//     invocation and cancelled indices are simply never claimed -- no
-//     thread is ever killed, and worker-owned scratch unwinds normally.
+//     before every body, also inside a claimed chunk, so cancellation
+//     latency is bounded by one body invocation and cancelled indices are
+//     simply never run -- no thread is ever killed, and worker-owned
+//     scratch unwinds normally.
 //     The pool itself never throws on cancellation; the CALLER checks the
 //     token after the join and raises the stage-attributed error, because
 //     only the caller knows which pipeline stage this index space was.
@@ -44,6 +46,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <functional>
@@ -56,6 +59,12 @@ namespace ndet {
 /// Resolves a requested worker count: 0 means "all hardware threads",
 /// clamped to at least 1.
 unsigned resolve_thread_count(unsigned requested);
+
+/// Cache-line size of the x86-64 machines this is tuned on.  Per-worker
+/// state that sits in an array indexed by worker id is declared
+/// alignas(kCacheLineBytes), so one worker's writes never invalidate the
+/// line another worker reads.
+inline constexpr std::size_t kCacheLineBytes = 64;
 
 /// Width-limited view of the process-wide executor, with dynamic index
 /// scheduling.
@@ -74,39 +83,58 @@ class ThreadPool {
     return count < num_threads_ ? static_cast<unsigned>(count) : num_threads_;
   }
 
+  /// Indices one claim takes for an index space of `count` elements: about
+  /// 32 claims per worker, so the tail a worker can be left holding is a
+  /// thirty-second of its share, and an index space of fewer than 64 indices
+  /// per worker still claims one index at a time.
+  std::size_t chunk_for(std::size_t count) const {
+    return std::max<std::size_t>(
+        1, count / (std::size_t{32} * workers_for(count)));
+  }
+
   /// Calls `body(index, worker)` once for every index in [0, count), fanned
-  /// out across min(thread_count, count) workers with dynamic scheduling.
+  /// out across min(thread_count, count) workers with dynamic scheduling:
+  /// each worker claims chunk_for(count) contiguous indices at a time.
   /// `worker` is a dense id in [0, workers_for(count)) -- use it to index
   /// per-worker scratch state.  Determinism contract: as long as `body`
   /// writes only to slot `index`, results are independent of the thread
   /// count and of scheduling order.  The first exception thrown by any
   /// worker stops the remaining work and is rethrown on the caller,
   /// annotated with the worker id and failing index.  When `cancel` is
-  /// non-null, workers stop claiming indices once it fires (poll the token
+  /// non-null, workers stop running bodies once it fires (poll the token
   /// on the caller afterwards to surface the cancellation as an error).
   template <typename Body>
   void for_each_index(std::size_t count, Body&& body,
                       const CancelToken* cancel = nullptr) const {
     if (count == 0) return;
+    const std::size_t chunk = chunk_for(count);
     std::atomic<std::size_t> next{0};
     std::atomic<bool> failed{false};
     run_workers(workers_for(count), [&](unsigned worker) {
       // One try region per worker, not per claim: landing pads inside the
       // claim loop measurably slow hot bodies (~10% on the batched fault
-      // sim), and the failing index is just the last one claimed.
+      // sim), and the failing index is just the last one started.
       std::size_t current = 0;
       try {
-        for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-             i < count && !failed.load(std::memory_order_relaxed) &&
-             !is_cancelled(cancel);
-             i = next.fetch_add(1, std::memory_order_relaxed)) {
-          current = i;
-          NDET_INJECT("thread_pool.slow_worker", fault_inject::inject_delay());
-          NDET_INJECT("thread_pool.worker_throw",
-                      throw Error(ErrorKind::kInternal,
-                                  "injected worker fault (site "
-                                  "thread_pool.worker_throw)"));
-          body(i, worker);
+        while (true) {
+          const std::size_t begin =
+              next.fetch_add(chunk, std::memory_order_relaxed);
+          if (begin >= count) return;
+          const std::size_t end = std::min(count, begin + chunk);
+          for (std::size_t i = begin; i < end; ++i) {
+            // Per body, not per claim: the cancellation latency and the
+            // drain after a throw stay one body whatever the chunk size.
+            if (failed.load(std::memory_order_relaxed) || is_cancelled(cancel))
+              return;
+            current = i;
+            NDET_INJECT("thread_pool.slow_worker",
+                        fault_inject::inject_delay());
+            NDET_INJECT("thread_pool.worker_throw",
+                        throw Error(ErrorKind::kInternal,
+                                    "injected worker fault (site "
+                                    "thread_pool.worker_throw)"));
+            body(i, worker);
+          }
         }
       } catch (...) {
         annotate_and_rethrow(worker, current);

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -150,13 +151,24 @@ TEST(BatchFaultSim, DeterministicAcrossThreadCounts) {
   const std::vector<Bitset> stuck_baseline = single.detection_sets(targets);
   const std::vector<Bitset> bridge_baseline = single.detection_sets(bridges);
 
+  // The whole build, whose detectability filter and freezes also run
+  // across the pool: G keeps enumeration order at every width.
+  const DetectionDb db_baseline = DetectionDb::build(circuit, {}, serial);
+
   for (const unsigned threads : {2u, 3u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     const ThreadPool pool(threads);
     const BatchFaultSimulator sharded(good, lines, pool);
     expect_identical_sets(stuck_baseline, sharded.detection_sets(targets),
                           "bbara", "stuck-at (threads)");
     expect_identical_sets(bridge_baseline, sharded.detection_sets(bridges),
                           "bbara", "bridging (threads)");
+
+    const DetectionDb db = DetectionDb::build(circuit, {}, pool);
+    EXPECT_EQ(db.untargeted(), db_baseline.untargeted());
+    EXPECT_EQ(db.target_sets(), db_baseline.target_sets());
+    EXPECT_EQ(db.untargeted_sets(), db_baseline.untargeted_sets());
+    EXPECT_EQ(db.set_memory_bytes(), db_baseline.set_memory_bytes());
   }
 }
 

@@ -225,6 +225,13 @@ TEST(Protocol, RejectsBadRequests) {
            R"({"type":"ping","circuit":"bbtas"})",      // key not in vocab
            R"({"type":"worst_case","circuit":"bbtas","max_inputs":99})",
            R"({"type":"average_case","circuit":"bbtas","num_sets":0})",
+           R"({"type":"average_case","circuit":"bbtas","num_sets":100001})",
+           R"({"type":"average_case","circuit":"bbtas",)"
+           R"("num_sets":1000000000000})",
+           R"({"type":"average_case","circuit":"bbtas",)"
+           R"("def2_probe_limit":1025})",
+           R"({"type":"average_case","circuit":"bbtas",)"
+           R"("def2_probe_limit":1000000})",
        }) {
     try {
       (void)parse_request(bad);
@@ -232,6 +239,30 @@ TEST(Protocol, RejectsBadRequests) {
     } catch (const Error& e) {
       EXPECT_EQ(e.kind(), ErrorKind::kInvalidInput) << bad;
     }
+  }
+
+  // Procedure 1's caps are inclusive.
+  const Request at_caps = parse_request(
+      R"({"type":"average_case","circuit":"bbtas","num_sets":100000,)"
+      R"("def2_probe_limit":1024})");
+  EXPECT_EQ(at_caps.average.num_sets, 100'000u);
+  EXPECT_EQ(at_caps.average.def2_probe_limit, 1'024u);
+
+  // A capped parameter is refused at the parse, so the reply echoes the
+  // request's id and type before any session is built.
+  ServerOptions options;
+  options.concurrency = 1;
+  options.threads = 1;
+  Server server(options);
+  for (const char* line :
+       {R"({"id":11,"type":"average_case","circuit":"cse",)"
+        R"("num_sets":1000000000000})",
+        R"({"id":11,"type":"average_case","circuit":"cse",)"
+        R"("definition":"dissimilar","def2_probe_limit":1000000})"}) {
+    const json::Value v = json::parse(server.handle_line(line));
+    EXPECT_EQ(v.at("id").as_uint64(), 11u) << line;
+    EXPECT_EQ(v.at("type").as_string(), "average_case") << line;
+    EXPECT_EQ(v.at("error").at("kind").as_string(), "invalid_input") << line;
   }
 }
 

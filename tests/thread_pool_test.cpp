@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/server.hpp"
@@ -40,27 +41,54 @@ bool wait_for(Done done) {
 }
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
-  for (const unsigned threads : {1u, 2u, 8u}) {
+  // Counts around one chunk per claim (fewer than 64 indices per worker),
+  // around the first multi-index chunk, and with a remainder chunk at the
+  // end of a large space.
+  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
     const ThreadPool pool(threads);
     EXPECT_EQ(pool.thread_count(), threads);
-    std::vector<int> hits(1000, 0);
-    pool.for_each_index(hits.size(), [&](std::size_t i, unsigned worker) {
-      EXPECT_LT(worker, pool.workers_for(hits.size()));
-      ++hits[i];
-    });
-    for (std::size_t i = 0; i < hits.size(); ++i)
-      ASSERT_EQ(hits[i], 1) << "index " << i << " threads " << threads;
+    for (const std::size_t count :
+         {1u, 2u, 63u, 64u, 65u, 1000u, 100'003u}) {
+      std::vector<int> hits(count, 0);
+      pool.for_each_index(count, [&](std::size_t i, unsigned worker) {
+        EXPECT_LT(worker, pool.workers_for(count));
+        ++hits[i];
+      });
+      for (std::size_t i = 0; i < count; ++i)
+        ASSERT_EQ(hits[i], 1) << "index " << i << " count " << count
+                              << " threads " << threads;
+    }
   }
 }
 
+TEST(ThreadPool, ChunksFollowTheCountAndTheWidth) {
+  const ThreadPool two(2), eight(8);
+  EXPECT_EQ(two.chunk_for(1), 1u);
+  EXPECT_EQ(two.chunk_for(125), 1u);  // Procedure 1's groups at K 1000
+  EXPECT_EQ(two.chunk_for(128), 2u);
+  EXPECT_EQ(two.chunk_for(100'003), 1'562u);
+  EXPECT_EQ(eight.chunk_for(100'003), 390u);
+  EXPECT_EQ(ThreadPool(1).chunk_for(100'003), 3'125u);
+}
+
 TEST(ThreadPool, PropagatesWorkerExceptions) {
+  // At 100,003 indices a claim takes 781, so index 50,001 throws inside a
+  // chunk; the annotation still names it.
   const ThreadPool pool(4);
-  EXPECT_THROW(pool.for_each_index(
-                   100,
-                   [&](std::size_t i, unsigned) {
-                     if (i == 37) throw contract_error("boom");
-                   }),
-               contract_error);
+  for (const auto& [count, failing] :
+       {std::pair<std::size_t, std::size_t>{100, 37}, {100'003, 50'001}}) {
+    try {
+      pool.for_each_index(count, [&](std::size_t i, unsigned) {
+        if (i == failing) throw contract_error("boom");
+      });
+      ADD_FAILURE() << "expected contract_error at count " << count;
+    } catch (const contract_error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("index " + std::to_string(failing) + "]"),
+                std::string::npos)
+          << message;
+    }
+  }
 }
 
 TEST(ThreadPool, ZeroRequestsAllHardwareThreads) {
@@ -175,7 +203,14 @@ TEST(ThreadPool, CancelFromABodyStopsTheHelpers) {
   std::atomic<bool> first_inside{false}, second_done{false};
   std::thread first([&] {
     pool.for_each_index(2, [&](std::size_t, unsigned worker) {
-      if (worker != 0) return;  // the helper, if it joined, leaves at once
+      if (worker != 0) {
+        // The helper, if it joined, leaves as soon as the caller holds the
+        // other index.  Returning at once could let it claim both indices
+        // before the caller's first claim, and the caller would never be
+        // inside a body.
+        (void)wait_for([&] { return first_inside.load(); });
+        return;
+      }
       first_inside = true;
       (void)wait_for([&] { return second_done.load(); });
     });
