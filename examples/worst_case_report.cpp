@@ -1,7 +1,7 @@
 // worst_case_report.cpp -- the paper's Section-2 analysis as a CLI tool.
 //
 //   worst_case_report [circuit] [--nmax=10] [--detail=5] [--threads=0]
-//                     [--deadline-ms=0] [--json=<path>] [--dot=<path>]
+//                     [--deadline-ms=0] [--json=<path>]
 //
 // `circuit` is an FSM benchmark name (e.g. bbara), an embedded combinational
 // circuit (e.g. c17), or a path to a .bench file.  The report covers
@@ -9,8 +9,7 @@
 // statistics, guaranteed coverage per n, the tail that needs n > nmax, and a
 // drill-down of the hardest faults with their limiting target faults.
 // --json= additionally writes the full result (nmin vector, summary
-// counters, session telemetry) as a JSON document; --dot= writes the
-// circuit in Graphviz DOT form.
+// counters, session telemetry) as a JSON document.
 //
 // --deadline-ms= bounds the whole run; exit codes follow run_cli: 124 on a
 // deadline/cancel, 2 on invalid input, 1 on internal errors.
@@ -21,7 +20,6 @@
 #include "core/reports.hpp"
 #include "core/session.hpp"
 #include "faults/stuck_at.hpp"
-#include "netlist/graph.hpp"
 #include "netlist/stats.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
@@ -30,8 +28,7 @@ int main(int argc, char** argv) {
   using namespace ndet;
   return run_cli([&] {
   const CliArgs args(argc, argv,
-                     {"nmax", "detail", "threads", "deadline-ms", "json",
-                      "dot"});
+                     {"nmax", "detail", "threads", "deadline-ms", "json"});
   const std::string name =
       args.positional().empty() ? "bbara" : args.positional()[0];
   const auto nmax = args.get_u64("nmax", 10);
@@ -95,11 +92,6 @@ int main(int argc, char** argv) {
   if (args.has("json")) {
     const std::string path = args.get("json", "");
     write_json_file(path, session_report_json(session));
-    std::printf("\nwrote %s\n", path.c_str());
-  }
-  if (args.has("dot")) {
-    const std::string path = args.get("dot", "");
-    write_dot_file(path, session.circuit());
     std::printf("\nwrote %s\n", path.c_str());
   }
   return 0;

@@ -2,20 +2,11 @@
 // larger circuit into smaller subcircuits and apply the analysis to the
 // subcircuits".
 //
-// The partition is by output cones: primary outputs are grouped, and each
-// group becomes a standalone subcircuit (the transitive fanin of its
-// outputs, extracted with a fanin ConeQuery).  Two grouping modes:
-//
-//   * budget mode (the original): outputs are grouped greedily in
-//     declaration order so that the union of their structural input
-//     supports stays within the exhaustive-simulation budget;
-//   * structure mode (PartitionOptions::by_structure): outputs are grouped
-//     by *measured fanin-cone overlap* -- groups whose cones share the
-//     largest fraction of gates (|A n B| / min(|A|, |B|)) are merged first,
-//     and merging stops when no pair clears min_overlap or fits the input
-//     budget.  Outputs that genuinely share logic land in the same cone, so
-//     fewer shared gates are analyzed twice and fewer bridging pairs span
-//     cones, instead of whatever the declaration order happened to give.
+// The partition is by output cones: primary outputs are grouped greedily
+// in declaration order so that the union of their structural input
+// supports stays within the exhaustive-simulation budget, and each group
+// becomes a standalone subcircuit (the transitive fanin of its outputs,
+// extracted with a fanin ConeQuery).
 //
 // The full analysis then runs per cone.  Faults on logic shared between
 // cones are analyzed in each cone that contains them; bridging pairs that
@@ -40,11 +31,6 @@ class ThreadPool;
 struct PartitionOptions {
   /// Exhaustive-simulation budget: every cone's input support must fit.
   std::size_t max_inputs = 20;
-  /// Group by measured fanin-cone overlap instead of declaration order.
-  bool by_structure = false;
-  /// Structure mode: smallest shared-gate ratio (|A n B| / min(|A|, |B|))
-  /// at which two groups' cones are still merged.
-  double min_overlap = 0.25;
 
   friend bool operator==(const PartitionOptions&,
                          const PartitionOptions&) = default;
@@ -62,10 +48,6 @@ std::vector<GateId> input_support(const Circuit& circuit,
 /// group.  Throws if a single output already exceeds the input budget.
 std::vector<Circuit> partition_by_outputs(const Circuit& circuit,
                                           const PartitionOptions& options);
-
-/// Budget-mode convenience (the original greedy declaration-order grouping).
-std::vector<Circuit> partition_by_outputs(const Circuit& circuit,
-                                          std::size_t max_inputs);
 
 /// Per-cone summary of the worst-case analysis.
 struct ConeReport {

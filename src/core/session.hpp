@@ -158,9 +158,8 @@ class AnalysisSession {
   /// return the same object.
   const AverageCaseResult& average_case(const Procedure1Request& request);
 
-  /// Section 4's per-cone worst-case summaries; memoized by the full
-  /// partition request (budget vs structure mode, thresholds).  The
-  /// returned reference is stable for the session's lifetime.
+  /// Section 4's per-cone worst-case summaries; memoized per input budget.
+  /// The returned reference is stable for the session's lifetime.
   const std::vector<ConeReport>& partitioned(const PartitionOptions& request);
 
   SessionStats stats() const;

@@ -1,7 +1,6 @@
 #include "netlist/graph.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <limits>
 
 #include "util/check.hpp"
@@ -96,75 +95,6 @@ std::span<const GateId> ConeIndex::cone_outputs(GateId root) const {
   require(root < gate_count_, "ConeIndex::cone_outputs: gate id out of range");
   return {output_storage_.data() + output_offsets_[root],
           output_storage_.data() + output_offsets_[root + 1]};
-}
-
-namespace {
-
-/// DOT string literal with quotes and backslashes escaped.
-std::string dot_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string to_dot(const Circuit& circuit, const DotOptions& options) {
-  const std::size_t n = circuit.gate_count();
-
-  std::vector<bool> rendered(n, options.subset.empty());
-  for (const GateId g : options.subset) {
-    require(g < n, "to_dot: subset gate out of range");
-    rendered[g] = true;
-  }
-
-  std::size_t node_lines = 0;
-  std::size_t edge_lines = 0;
-  std::string nodes;
-  std::string edges;
-  for (GateId g = 0; g < n; ++g) {
-    if (!rendered[g]) continue;
-    const Gate& gate = circuit.gate(g);
-    const std::string id = "n" + std::to_string(g);
-    // The \n between name and type is DOT's label line break, so it is
-    // appended after escaping (dot_escape would double the backslash).
-    const std::string label =
-        dot_escape(gate.name) + "\\n" + to_string(gate.type);
-    std::string shape = "ellipse";
-    if (gate.type == GateType::kInput) shape = "box";
-    if (circuit.is_output(g)) shape = "doublecircle";
-    nodes += "  " + id + " [shape=" + shape + ", label=\"" + label + "\"];\n";
-    ++node_lines;
-    for (const GateId next : gate.fanouts) {
-      if (!rendered[next]) continue;
-      edges += "  " + id + " -> n" + std::to_string(next) + ";\n";
-      ++edge_lines;
-    }
-  }
-
-  std::string out = "digraph \"" + dot_escape(circuit.name()) + "\" {\n";
-  // Machine-checkable inventory line: CI validates one node line per gate
-  // and one edge line per rendered edge against these counts.
-  out += "  // nodes=" + std::to_string(node_lines) +
-         " edges=" + std::to_string(edge_lines) + "\n";
-  out += "  rankdir=LR;\n";
-  out += nodes;
-  out += edges;
-  out += "}\n";
-  return out;
-}
-
-void write_dot_file(const std::string& path, const Circuit& circuit,
-                    const DotOptions& options) {
-  std::ofstream out(path, std::ios::binary);
-  require(out.good(), "write_dot_file: cannot open '" + path + "'");
-  out << to_dot(circuit, options);
-  out.flush();
-  require(out.good(), "write_dot_file: write to '" + path + "' failed");
 }
 
 }  // namespace ndet

@@ -10,9 +10,7 @@
 //   * ConeQuery -- one cone at a time with reusable, epoch-stamped scratch;
 //   * ConeIndex -- the fanout cone and affected primary outputs of EVERY
 //     gate, frozen once in CSR form (the table the simulators start each
-//     fault from);
-//   * to_dot / write_dot_file -- the DOT export behind the report CLIs'
-//     --dot= flag, for the whole circuit or one cone.
+//     fault from).
 //
 // Every cone comes back in ascending id order, which is topological order
 // because CircuitBuilder only accepts fanins with smaller ids.  ConeIndex
@@ -25,7 +23,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "netlist/circuit.hpp"
@@ -79,23 +76,5 @@ class ConeIndex {
   std::vector<std::uint32_t> output_offsets_;  ///< gate_count + 1 entries
   std::vector<GateId> output_storage_;
 };
-
-/// DOT export options.
-struct DotOptions {
-  /// When non-empty, only these gates (and edges between them) are
-  /// rendered.
-  std::vector<GateId> subset;
-};
-
-/// Renders the circuit as a DOT digraph named after it: a header comment
-/// carrying the node and edge counts (machine-checkable by CI), exactly one
-/// node line per rendered gate (label = name plus gate type, inputs as
-/// boxes, primary outputs double-circled) and one line per fanout
-/// connection.
-std::string to_dot(const Circuit& circuit, const DotOptions& options = {});
-
-/// Writes to_dot(...) to `path`; throws contract_error on I/O failure.
-void write_dot_file(const std::string& path, const Circuit& circuit,
-                    const DotOptions& options = {});
 
 }  // namespace ndet

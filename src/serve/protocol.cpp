@@ -71,15 +71,15 @@ bool key_allowed(RequestType type, const std::string& key) {
   if (type == RequestType::kStats || type == RequestType::kPing ||
       type == RequestType::kHealth)
     return false;
-  if (key == "circuit" || key == "deadline_ms" || key == "max_inputs" ||
-      key == "representation")
-    return true;
+  if (key == "circuit" || key == "deadline_ms") return true;
+  // Every cone is built with default database options, so the session
+  // options would only split the cache into entries with equal results.
+  if (type == RequestType::kPartition) return key == "budget";
+  if (key == "max_inputs" || key == "representation") return true;
   if (type == RequestType::kAverageCase)
     return key == "nmax" || key == "num_sets" || key == "seed" ||
            key == "definition" || key == "def2_probe_limit" ||
            key == "keep_test_sets";
-  if (type == RequestType::kPartition)
-    return key == "budget" || key == "by_structure" || key == "min_overlap";
   return false;
 }
 
@@ -152,10 +152,6 @@ Request parse_request(const std::string& line) {
       request.partition.max_inputs = static_cast<std::size_t>(v->as_uint64());
       require(request.partition.max_inputs >= 1, "budget must be >= 1");
     }
-    if (const json::Value* v = root.find("by_structure"))
-      request.partition.by_structure = v->as_bool();
-    if (const json::Value* v = root.find("min_overlap"))
-      request.partition.min_overlap = v->as_double();
   }
   return request;
 }

@@ -7,15 +7,16 @@
 //    "max_inputs":20,"representation":"adaptive"}
 //   {"id":2,"type":"average_case","circuit":"dk27","nmax":2,"num_sets":100,
 //    "seed":7,"definition":"standard","def2_probe_limit":32}
-//   {"id":3,"type":"partition","circuit":"bbara","budget":8,
-//    "by_structure":true,"min_overlap":0.25}
+//   {"id":3,"type":"partition","circuit":"bbara","budget":8}
 //   {"id":4,"type":"stats"}
 //   {"id":5,"type":"ping"}
 //   {"id":6,"type":"health"}
 //   {"id":7,"type":"worst_case","circuit":"keyb","priority":"batch"}
 //
 // Every field except "type" is optional ("circuit" is required for the
-// three analysis types); defaults match the paper's CLIs.  "priority"
+// three analysis types); defaults match the paper's CLIs.  "max_inputs"
+// and "representation" belong to worst_case and average_case only: a
+// partition builds every cone with default options.  "priority"
 // ("interactive", the default, or "batch") selects the admission lane:
 // under overload batch requests are shed first and dispatched last, so a
 // flood of heavy batch sweeps cannot starve cheap interactive requests

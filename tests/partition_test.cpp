@@ -72,7 +72,8 @@ Circuit tri_majority() {
 
 TEST(Partition, GroupsOutputsWithinBudget) {
   const Circuit c = tri_majority();  // 9 inputs, three 3-input cones
-  const auto cones = partition_by_outputs(c, 6);
+  const auto cones =
+      partition_by_outputs(c, PartitionOptions{.max_inputs = 6});
   EXPECT_EQ(cones.size(), 2u);  // {m0,m1} then {m2}
   std::size_t outputs = 0;
   for (const Circuit& cone : cones) {
@@ -84,7 +85,8 @@ TEST(Partition, GroupsOutputsWithinBudget) {
 
 TEST(Partition, SingleGroupWhenBudgetSuffices) {
   const Circuit c = paper_example();
-  const auto cones = partition_by_outputs(c, 4);
+  const auto cones =
+      partition_by_outputs(c, PartitionOptions{.max_inputs = 4});
   ASSERT_EQ(cones.size(), 1u);
   EXPECT_EQ(cones[0].output_count(), 3u);
 }
@@ -92,7 +94,48 @@ TEST(Partition, SingleGroupWhenBudgetSuffices) {
 TEST(Partition, ThrowsWhenOneOutputExceedsBudget) {
   const Circuit c = ripple_adder(4);
   // s3 depends on all 9 inputs... cout depends on 9; budget 3 is too small.
-  EXPECT_THROW((void)partition_by_outputs(c, 3), contract_error);
+  EXPECT_THROW(
+      (void)partition_by_outputs(c, PartitionOptions{.max_inputs = 3}),
+      contract_error);
+}
+
+TEST(Partition, SharedLogicStaysApartAcrossADeclarationGap) {
+  // Outputs a and c share a subcircuit; b is independent and declared
+  // between them.  Grouping follows declaration order, so b's support
+  // closes a's group and c opens a third.
+  CircuitBuilder b("shared_pair");
+  const GateId x0 = b.add_input("x0");
+  const GateId x1 = b.add_input("x1");
+  const GateId x2 = b.add_input("x2");
+  const GateId y0 = b.add_input("y0");
+  const GateId y1 = b.add_input("y1");
+  const GateId shared = b.add_gate(GateType::kAnd, "shared", {x0, x1});
+  b.mark_output(b.add_gate(GateType::kOr, "a", {shared, x2}));
+  b.mark_output(b.add_gate(GateType::kAnd, "b", {y0, y1}));
+  b.mark_output(b.add_gate(GateType::kXor, "c", {shared, x2}));
+  const auto cones =
+      partition_by_outputs(b.build(), PartitionOptions{.max_inputs = 3});
+  ASSERT_EQ(cones.size(), 3u);
+  EXPECT_EQ(cones[0].name(), "shared_pair_cone_a");
+  EXPECT_EQ(cones[1].name(), "shared_pair_cone_b");
+  EXPECT_EQ(cones[2].name(), "shared_pair_cone_c");
+}
+
+TEST(Partition, ConstantOutputJoinsItsDeclarationNeighbor) {
+  // Synthesized FSMs can have always-off outputs (GateType::kConst0) whose
+  // fanin cone holds no primary input and so cannot stand alone as a
+  // circuit.  Its empty support fits any budget, so the next output joins
+  // its group.
+  CircuitBuilder b("const_out");
+  const GateId x0 = b.add_input("x0");
+  const GateId x1 = b.add_input("x1");
+  b.mark_output(b.add_gate(GateType::kConst0, "k", {}));
+  b.mark_output(b.add_gate(GateType::kAnd, "a", {x0, x1}));
+  const auto cones =
+      partition_by_outputs(b.build(), PartitionOptions{.max_inputs = 2});
+  ASSERT_EQ(cones.size(), 1u);
+  EXPECT_EQ(cones[0].output_count(), 2u);
+  EXPECT_EQ(cones[0].name(), "const_out_cone_k_a");
 }
 
 TEST(Partition, WorstCasePerConeRuns) {

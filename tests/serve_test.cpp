@@ -33,6 +33,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/session_cache.hpp"
+#include "test_util.hpp"
 #include "util/json.hpp"
 
 namespace ndet::serve {
@@ -232,6 +233,13 @@ TEST(Protocol, RejectsBadRequests) {
            R"("def2_probe_limit":1025})",
            R"({"type":"average_case","circuit":"bbtas",)"
            R"("def2_probe_limit":1000000})",
+           // A partition takes only a budget: its cones are built with
+           // default options, and there is one grouping mode.
+           R"({"type":"partition","circuit":"bbtas","by_structure":true})",
+           R"({"type":"partition","circuit":"bbtas","min_overlap":0.25})",
+           R"({"type":"partition","circuit":"bbtas","max_inputs":20})",
+           R"({"type":"partition","circuit":"bbtas",)"
+           R"("representation":"dense"})",
        }) {
     try {
       (void)parse_request(bad);
@@ -264,6 +272,11 @@ TEST(Protocol, RejectsBadRequests) {
     EXPECT_EQ(v.at("type").as_string(), "average_case") << line;
     EXPECT_EQ(v.at("error").at("kind").as_string(), "invalid_input") << line;
   }
+  const json::Value partition = json::parse(server.handle_line(
+      R"({"id":12,"type":"partition","circuit":"bbtas","max_inputs":20})"));
+  EXPECT_EQ(partition.at("id").as_uint64(), 12u);
+  EXPECT_EQ(partition.at("type").as_string(), "partition");
+  EXPECT_EQ(partition.at("error").at("kind").as_string(), "invalid_input");
 }
 
 // --- server -----------------------------------------------------------------
@@ -312,6 +325,62 @@ TEST(Server, ResponsesAreBitIdenticalToDirectSessions) {
   EXPECT_NE(again.find("\"cache_hit\":true"), std::string::npos);
   EXPECT_NE(again.find("\"result\":" + to_json(direct.worst_case())),
             std::string::npos);
+}
+
+/// The raw "result" bytes of a success reply: the envelope splices them
+/// between "result": and its trailing "session" object.
+std::string result_bytes(const std::string& reply) {
+  const std::string key = "\"result\":";
+  const std::size_t begin = reply.find(key);
+  const std::size_t end = reply.rfind(",\"session\":");
+  if (begin == std::string::npos || end == std::string::npos || end < begin)
+    return {};
+  return reply.substr(begin + key.size(), end - begin - key.size());
+}
+
+TEST(Server, ResultPayloadsMatchRecordedDigests) {
+  // FNV-1a digests of each reply's "result" bytes, recorded at commit
+  // 6e55a6d.  Every analysis type, both detection definitions, a dense
+  // database and multi-cone partitions; a change that alters any served
+  // payload fails here.  When a payload changes on purpose, replace its
+  // digest with the one the failure prints.
+  struct Golden {
+    const char* line;
+    std::uint64_t digest;
+  };
+  const Golden golden[] = {
+      {R"({"id":1,"type":"worst_case","circuit":"paper_example"})",
+       0xbfce58b2bc031888},
+      {R"({"id":2,"type":"worst_case","circuit":"bbtas"})",
+       0xfc37a16748ae1415},
+      {R"({"id":3,"type":"worst_case","circuit":"bbara",)"
+       R"("representation":"dense"})",
+       0xad27233e96c4fc0b},
+      {R"({"id":4,"type":"average_case","circuit":"bbara","nmax":2,)"
+       R"("num_sets":48})",
+       0x88c840e04e9f3173},
+      {R"({"id":5,"type":"average_case","circuit":"bbara","nmax":2,)"
+       R"("num_sets":16,"definition":"dissimilar"})",
+       0xb3552cfba57f132c},
+      {R"({"id":6,"type":"average_case","circuit":"dk27","nmax":2,)"
+       R"("num_sets":8,"seed":7})",
+       0x0a17b62b705350f2},
+      {R"({"id":7,"type":"partition","circuit":"c17","budget":4})",
+       0x5ca669cedc389ee9},
+      {R"({"id":8,"type":"partition","circuit":"tav","budget":4})",
+       0x53044cef430832ae},
+      {R"({"id":9,"type":"partition","circuit":"bbara","budget":8})",
+       0xbbd91973c4749eb0},
+  };
+  Server server(small_server());
+  for (const Golden& g : golden) {
+    const std::string reply = server.handle_line(g.line);
+    ASSERT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
+    const std::uint64_t digest = ndet::testing::fnv1a64(result_bytes(reply));
+    EXPECT_EQ(digest, g.digest)
+        << g.line << "\n  result digest 0x" << std::hex << digest
+        << ", recorded 0x" << g.digest << std::dec;
+  }
 }
 
 TEST(Server, DeadlinedRequestNeverPoisonsTheCache) {

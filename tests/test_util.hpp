@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "core/detection_db.hpp"
@@ -46,6 +47,17 @@ inline std::vector<simd::Level> runnable_levels() {
 inline const ThreadPool& shared_pool() {
   static const ThreadPool pool;
   return pool;
+}
+
+/// 64-bit FNV-1a of a byte string: the digest that pins an output against
+/// the value recorded from an earlier build.
+inline std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
 }
 
 /// Materializes a Bitset as a sorted vector of element ids.
