@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
          {std::pair{StateEncoding::kBinary, "binary"},
           {StateEncoding::kGray, "gray"},
           {StateEncoding::kOneHot, "onehot"}}) {
-      std::fprintf(stderr, "[ndetect] %s / %s ...\n", name.c_str(), label);
+      std::fprintf(stderr, "[ndet] %s / %s ...\n", name.c_str(), label);
       AnalysisSession session(fsm_benchmark_circuit(name, encoding), options);
       const WorstCaseResult& worst = session.worst_case();
       table.add_row({name, label, std::to_string(worst.nmin.size()),

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     return session.average_case(request);
   };
 
-  std::fprintf(stderr, "[ndetect] reference run K=%zu ...\n", kmax);
+  std::fprintf(stderr, "[ndet] reference run K=%zu ...\n", kmax);
   const AverageCaseResult& reference = run(kmax, 777);
 
   TextTable table({"K", "max |dp|", "mean |dp|"});

@@ -19,7 +19,7 @@ std::vector<std::string> suite_names() {
 
 AnalysisSession analyze_circuit(const std::string& name,
                                 SessionOptions options) {
-  std::fprintf(stderr, "[ndetect] analyzing %s ...\n", name.c_str());
+  std::fprintf(stderr, "[ndet] analyzing %s ...\n", name.c_str());
   AnalysisSession session(name, options);
   session.worst_case();
   return session;
@@ -31,7 +31,7 @@ std::vector<AnalysisSession> batch_sessions(
   std::vector<SessionRequest> requests;
   requests.reserve(names.size());
   for (const std::string& name : names) {
-    std::fprintf(stderr, "[ndetect] queueing %s ...\n", name.c_str());
+    std::fprintf(stderr, "[ndet] queueing %s ...\n", name.c_str());
     requests.push_back({name, average});
   }
   return run_batch(requests, options);

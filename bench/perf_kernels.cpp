@@ -2,16 +2,14 @@
 // reproduction relies on: exhaustive simulation, stuck-at and bridging
 // detection sets, the worst-case nmin sweep (reference vs the pruned
 // parallel engine, with the database memory footprint as counters),
-// the partitioned analysis, Procedure 1 under both definitions, the
-// Definition-2 oracle, and PODEM.
+// the partitioned analysis, Procedure 1 under both definitions, and the
+// Definition-2 oracle.
 
 #include <benchmark/benchmark.h>
 
 #include <numeric>
 #include <string>
 
-#include "atpg/ndetect.hpp"
-#include "atpg/podem.hpp"
 #include "common.hpp"
 #include "core/partition.hpp"
 #include "core/pair_kernels.hpp"
@@ -327,35 +325,6 @@ void BM_Def2Oracle(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_Def2Oracle);
-
-void BM_PodemPerFault(benchmark::State& state) {
-  const Circuit& c = bench_circuit();
-  const LineModel lines(c);
-  const Podem podem(lines);
-  const auto faults = collapse_stuck_at_faults(lines);
-  Rng rng(1);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const PodemResult result = podem.generate(faults[i % faults.size()], rng);
-    benchmark::DoNotOptimize(result.cube.has_value());
-    ++i;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_PodemPerFault);
-
-void BM_NDetectionAtpg(benchmark::State& state) {
-  const Circuit c = fsm_benchmark_circuit("bbtas");
-  const LineModel lines(c);
-  const auto faults = collapse_stuck_at_faults(lines);
-  NDetectConfig config;
-  config.n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const NDetectResult result = generate_ndetection_set(lines, faults, config);
-    benchmark::DoNotOptimize(result.tests.size());
-  }
-}
-BENCHMARK(BM_NDetectionAtpg)->Arg(1)->Arg(5)->Arg(10);
 
 }  // namespace
 

@@ -56,13 +56,13 @@ int main(int argc, char** argv) {
 
     const AverageCaseResult& avg = session.average_case(request);
     rows.push_back(make_probability_row(names[i], avg, request.nmax));
-    std::fprintf(stderr, "[ndetect]   %s\n",
+    std::fprintf(stderr, "[ndet]   %s\n",
                  describe_set_memory(session.db()).c_str());
 
     const EscapeReport escape = compute_escape_report(avg, request.nmax);
     total_expected_escapes += escape.expected_escapes;
     std::fprintf(stderr,
-                 "[ndetect]   %s: %zu tail faults, expected escapes %.2f, "
+                 "[ndet]   %s: %zu tail faults, expected escapes %.2f, "
                  "min p = %.3f\n",
                  names[i].c_str(), session.monitored(request.nmax).size(),
                  escape.expected_escapes, escape.worst_fault_probability);

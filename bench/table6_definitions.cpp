@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
     rows.push_back(make_probability_row(names[i], first, def1.nmax));
     rows.push_back(make_probability_row(names[i], second, def2.nmax));
     std::fprintf(stderr,
-                 "[ndetect]   %s: def2 stats: %llu tests added, %llu "
+                 "[ndet]   %s: def2 stats: %llu tests added, %llu "
                  "fallbacks, %llu oracle calls\n",
                  names[i].c_str(),
                  static_cast<unsigned long long>(second.stats.tests_added),
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(
                      second.stats.distinct_queries));
     std::fprintf(stderr,
-                 "[ndetect]   %s: def2 caches (%u workers): %llu good sims, "
+                 "[ndet]   %s: def2 caches (%u workers): %llu good sims, "
                  "%llu hits / %llu misses; %s\n",
                  names[i].c_str(), session.pool().thread_count(),
                  static_cast<unsigned long long>(

@@ -42,7 +42,7 @@ DetectionDb DetectionDb::build(const Circuit& circuit,
   // G: four-way bridging faults, keeping only the detectable ones, in
   // enumeration order.  There are 50-180 times as many as targets, so
   // the filter and the freezes run across the pool: one pass frees the
-  // undetectable dense sets, a serial scan places the survivors, and a
+  // empty dense sets, a serial scan places the survivors, and a
   // second pass freezes each survivor straight into its slot of G.  At
   // width 1 both passes run inline, in enumeration order.
   check_cancel(cancel, "detection_db");

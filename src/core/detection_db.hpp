@@ -66,8 +66,8 @@ class DetectionDb {
   /// |U| = 2^PI.
   std::uint64_t vector_count() const { return vector_count_; }
 
-  /// F: the collapsed stuck-at fault list (undetectable faults included;
-  /// they are inert in every analysis since their T(f) is empty).
+  /// F: the collapsed stuck-at fault list, including faults no vector
+  /// detects (they are inert in every analysis since their T(f) is empty).
   const std::vector<StuckAtFault>& targets() const { return targets_; }
   /// T(f), index-aligned with targets().
   const std::vector<DetectionSet>& target_sets() const { return target_sets_; }

@@ -423,7 +423,7 @@ AverageCaseResult run_procedure1(const DetectionDb& db,
                                vectors);
 
   // The sweep's target-side geometry: detectable targets N(f)-sorted and
-  // packed into cache-resident tiles (undetectable targets are inert in
+  // packed into cache-resident tiles (targets no vector detects are inert in
   // every analysis and are dropped by the engine).
   const PairKernelEngine engine(std::span<const DetectionSet>(target_sets),
                                 vectors);

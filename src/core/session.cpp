@@ -200,8 +200,9 @@ std::vector<AnalysisSession> run_batch(std::span<const SessionRequest> requests,
   // as wide as the pool: nested stages share the process's executor, whose
   // helpers join only while fewer threads than the widest pool are inside
   // job bodies.  All batch work runs inside this call's bodies, so the
-  // batch never oversubscribes, and a tail circuit gets the idle threads.  Each worker owns its request's session end to end and writes
-  // one index-aligned slot, so the batch is bit-identical to running the
+  // batch never oversubscribes, and a tail circuit gets the idle threads.
+  // Each worker owns its request's session end to end and writes one
+  // index-aligned slot, so the batch is bit-identical to running the
   // requests one by one.
   const ThreadPool pool(options.num_threads);
 

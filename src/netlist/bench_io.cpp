@@ -196,7 +196,7 @@ Circuit read_bench_file(const std::string& path) {
 
 std::string write_bench(const Circuit& circuit) {
   std::ostringstream os;
-  os << "# " << circuit.name() << " -- generated by ndetect\n";
+  os << "# " << circuit.name() << " -- generated by ndet\n";
   for (const GateId g : circuit.inputs())
     os << "INPUT(" << circuit.gate(g).name << ")\n";
   for (const GateId g : circuit.outputs())

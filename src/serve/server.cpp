@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "fsm/benchmarks.hpp"
@@ -411,10 +412,10 @@ bool Server::wait_drained(std::uint64_t timeout_ms) {
   };
   {
     std::unique_lock<std::mutex> lock(drain_mutex_);
-    if (timeout_ms == 0) {
+    const auto deadline = deadline_after_ms(timeout_ms);
+    if (timeout_ms == 0 || !deadline) {
       drained_cv_.wait(lock, drained);
-    } else if (!drained_cv_.wait_for(
-                   lock, std::chrono::milliseconds(timeout_ms), drained)) {
+    } else if (!drained_cv_.wait_until(lock, *deadline, drained)) {
       return false;
     }
   }
@@ -753,7 +754,11 @@ bool Server::serve_tcp(int port, const std::function<void(int)>& ready) {
       const std::lock_guard<std::mutex> fd_lock(handler.conn->mutex);
       if (handler.conn->fd >= 0) ::shutdown(handler.conn->fd, SHUT_RD);
     }
-    clean = wait_drained(options_.drain_ms + 10000);
+    // The grace period saturates, so a budget near 2^64 ms waits forever
+    // instead of wrapping to a few seconds.
+    const std::uint64_t grace_ms = std::min<std::uint64_t>(
+        10000, std::numeric_limits<std::uint64_t>::max() - options_.drain_ms);
+    clean = wait_drained(options_.drain_ms + grace_ms);
   }
   for (Handler& handler : handlers) handler.thread.join();
   // shutdown() usually closed the fd already; close again is harmless only

@@ -74,8 +74,9 @@
 
 namespace ndet::serve {
 
-/// Log-bucketed latency histogram (lock-free record, ~1.47x bucket growth
-/// from 1us).  Percentiles report the upper edge of the covering bucket.
+/// Log-bucketed latency histogram (lock-free record, sqrt(2) ~ 1.41x bucket
+/// growth from 1us).  Percentiles report the upper edge of the covering
+/// bucket.
 class LatencyHistogram {
  public:
   static constexpr std::size_t kBuckets = 64;
@@ -166,8 +167,9 @@ class Server {
   void begin_drain();
 
   /// Blocks until every accepted line has been responded to, or
-  /// `timeout_ms` passed (0 = wait forever).  On success flips the state
-  /// to STOPPED and stops the dispatchers.  True = fully drained.
+  /// `timeout_ms` passed (0, or a timeout past the clock's range, waits
+  /// forever).  On success flips the state to STOPPED and stops the
+  /// dispatchers.  True = fully drained.
   bool wait_drained(std::uint64_t timeout_ms);
 
   ServerState state() const { return state_.load(std::memory_order_acquire); }

@@ -26,8 +26,8 @@ class ExhaustiveSimulator {
   explicit ExhaustiveSimulator(const Circuit& circuit, int max_inputs = 20);
 
   /// List mode: simulates an explicit vector list instead of all of U.
-  /// Downstream detection "sets" then index into this list (used to grade
-  /// ATPG test sets).  Vector ids must be < 2^PI.
+  /// Downstream detection "sets" then index into this list.  Vector ids
+  /// must be < 2^PI.
   ExhaustiveSimulator(const Circuit& circuit,
                       std::span<const std::uint64_t> vectors);
 

@@ -55,13 +55,6 @@ class TernarySimulator {
   /// (some primary output is binary in both circuits and differs).
   bool detects(const StuckAtFault& fault, std::span<const Ternary> inputs) const;
 
-  /// Values of all gates in the faulty circuit, given the fault-free values
-  /// (gates outside the fault's fanout cone keep their fault-free value).
-  /// This is the evaluation primitive of the PODEM engine.
-  std::vector<Ternary> faulty_values(const StuckAtFault& fault,
-                                     std::span<const Ternary> inputs,
-                                     std::span<const Ternary> good) const;
-
   /// The paper's tij: specified where the two (fully specified) vectors
   /// agree.  Vectors are decimal ids, first input = most significant bit.
   std::vector<Ternary> common_vector(std::uint64_t t1, std::uint64_t t2) const;
@@ -70,6 +63,12 @@ class TernarySimulator {
   bool detects_with_good(const StuckAtFault& fault,
                          std::span<const Ternary> inputs,
                          std::span<const Ternary> good) const;
+
+  /// Values of all gates in the faulty circuit, given the fault-free values
+  /// (gates outside the fault's fanout cone keep their fault-free value).
+  std::vector<Ternary> faulty_values(const StuckAtFault& fault,
+                                     std::span<const Ternary> inputs,
+                                     std::span<const Ternary> good) const;
 
   const LineModel* lines_;
   ConeIndex cones_;  ///< every gate's fanout cone, built once

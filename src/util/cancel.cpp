@@ -32,9 +32,18 @@ void CancelToken::cancel(const std::string& reason) {
                                  std::memory_order_relaxed);
 }
 
+std::optional<std::chrono::steady_clock::time_point> deadline_after_ms(
+    std::uint64_t ms) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  const auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+      Clock::time_point::max() - now);
+  if (ms >= static_cast<std::uint64_t>(headroom.count())) return std::nullopt;
+  return now + std::chrono::milliseconds(static_cast<std::int64_t>(ms));
+}
+
 void CancelToken::set_deadline_after_ms(std::uint64_t ms) {
-  set_deadline(std::chrono::steady_clock::now() +
-               std::chrono::milliseconds(ms));
+  if (const auto deadline = deadline_after_ms(ms)) set_deadline(*deadline);
 }
 
 void CancelToken::set_deadline(std::chrono::steady_clock::time_point deadline) {

@@ -32,6 +32,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -106,7 +107,8 @@ class CancelToken {
   void cancel(const std::string& reason = "cancelled by caller");
 
   /// Arms (or tightens) the monotonic deadline to now + `ms`.  A second call
-  /// keeps the earlier of the two deadlines.
+  /// keeps the earlier of the two deadlines.  An `ms` past the clock's
+  /// range arms nothing (see deadline_after_ms).
   void set_deadline_after_ms(std::uint64_t ms);
 
   /// Absolute variant of set_deadline_after_ms.
@@ -172,6 +174,13 @@ class CancelToken {
   mutable std::string deadline_reason_;
   std::shared_ptr<const CancelToken> parent_;  ///< set-once, pre-sharing
 };
+
+/// now + `ms` on the steady clock, or nullopt when that instant lies past
+/// the clock's int64-nanosecond range (about 292 years out, so from about
+/// 9.2e12 ms).  Such a deadline is no deadline: computed naively it
+/// overflows into one that has already passed.
+std::optional<std::chrono::steady_clock::time_point> deadline_after_ms(
+    std::uint64_t ms);
 
 /// Poll helper for the pervasive `const CancelToken*` plumbing: false on the
 /// null token (the zero-overhead path).

@@ -78,15 +78,4 @@ std::uint64_t CliArgs::get_u64(const std::string& name,
   return value;
 }
 
-double CliArgs::get_double(const std::string& name, double fallback) const {
-  const auto it = options_.find(name);
-  if (it == options_.end()) return fallback;
-  double value = 0.0;
-  const auto [ptr, ec] = std::from_chars(
-      it->second.data(), it->second.data() + it->second.size(), value);
-  require(ec == std::errc{} && ptr == it->second.data() + it->second.size(),
-          "option --" + name + " expects a number, got '" + it->second + "'");
-  return value;
-}
-
 }  // namespace ndet

@@ -52,9 +52,6 @@ class CliArgs {
   /// Unsigned integer option with default (throws on non-numeric values).
   std::uint64_t get_u64(const std::string& name, std::uint64_t fallback) const;
 
-  /// Floating-point option with default (throws on non-numeric values).
-  double get_double(const std::string& name, double fallback) const;
-
   /// Positional arguments in order of appearance.
   const std::vector<std::string>& positional() const { return positional_; }
 

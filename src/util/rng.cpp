@@ -80,6 +80,4 @@ bool Rng::chance(std::uint64_t numerator, std::uint64_t denominator) {
   return below(denominator) < numerator;
 }
 
-Rng Rng::split() { return Rng(next() ^ 0xd1b54a32d192ed03ull); }
-
 }  // namespace ndet

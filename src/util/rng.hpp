@@ -147,9 +147,6 @@ class Rng {
   /// Bernoulli trial with probability `numerator / denominator`.
   bool chance(std::uint64_t numerator, std::uint64_t denominator);
 
-  /// Derives an independent child generator (for per-test-set streams).
-  Rng split();
-
  private:
   std::uint64_t state_[4];
 };

@@ -50,6 +50,7 @@
 #include <atomic>
 #include <cstddef>
 #include <functional>
+#include <new>
 
 #include "util/cancel.hpp"
 #include "util/fault_inject.hpp"
@@ -65,6 +66,28 @@ unsigned resolve_thread_count(unsigned requested);
 /// alignas(kCacheLineBytes), so one worker's writes never invalidate the
 /// line another worker reads.
 inline constexpr std::size_t kCacheLineBytes = 64;
+
+/// Allocator for per-worker heap buffers: each block starts on a cache line
+/// and is padded to whole lines, so no line holds two buffers.  Where one
+/// thread allocates every worker's buffers, malloc otherwise decides, from
+/// the heap's history, whether two workers' hot buffers share a line.
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{kCacheLineBytes};
+  static std::size_t bytes(std::size_t n) {
+    return (n * sizeof(T) + kCacheLineBytes - 1) & ~(kCacheLineBytes - 1);
+  }
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(bytes(n), kAlign));
+  }
+  void deallocate(T* p, std::size_t n) {
+    ::operator delete(p, bytes(n), kAlign);
+  }
+  friend bool operator==(CacheLineAllocator, CacheLineAllocator) {
+    return true;
+  }
+};
 
 /// Width-limited view of the process-wide executor, with dynamic index
 /// scheduling.

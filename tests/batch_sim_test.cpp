@@ -124,8 +124,8 @@ TEST(BatchFaultSim, BridgeSetIsTheVictimStemFaultMaskedByTheAggressor) {
 }
 
 TEST(BatchFaultSim, CrossValidatesInExplicitVectorMode) {
-  // ndetect's compactor grades test sets through list-mode simulators; the
-  // batched engine must agree with the reference there too.
+  // Over an explicit vector list the batched engine must agree with the
+  // reference too.
   const Circuit circuit = fsm_benchmark_circuit("bbara");
   const LineModel lines(circuit);
   const std::vector<std::uint64_t> vectors = {0, 3, 7, 11, 42, 63, 100, 255};

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -78,6 +79,24 @@ TEST(CancelToken, EarlierDeadlineWins) {
   EXPECT_LT(token.remaining_seconds(), 1.0);
   token.set_deadline_after_ms(60'000);  // looser: ignored
   EXPECT_LT(token.remaining_seconds(), 1.0);
+}
+
+TEST(CancelToken, DeadlinePastTheClocksRangeIsNoDeadline) {
+  // now + ms overflows int64 nanoseconds from about 9.2e12 ms.  Such a
+  // deadline means none, not one that has already passed.
+  for (const std::uint64_t ms :
+       {std::uint64_t{10'000'000'000'000}, ~std::uint64_t{0}}) {
+    CancelToken token;
+    token.set_deadline_after_ms(ms);
+    EXPECT_FALSE(token.has_deadline()) << ms;
+    EXPECT_FALSE(token.cancelled()) << ms;
+    EXPECT_NO_THROW(token.check("worst_case")) << ms;
+  }
+  // About 31 years still fits, and is armed.
+  CancelToken far;
+  far.set_deadline_after_ms(1'000'000'000'000);
+  EXPECT_TRUE(far.has_deadline());
+  EXPECT_FALSE(far.cancelled());
 }
 
 TEST(CancelToken, ExplicitCancelBeatsLaterDeadline) {

@@ -45,7 +45,7 @@ std::size_t def1_count(const DetectionDb& db, std::size_t i,
   return count;
 }
 
-TEST(Procedure1, EverySetIsAnNDetectionTestSet) {
+TEST(Procedure1, EverySetDetectsEachTargetNTimes) {
   const DetectionDb& db = paper_db();
   Procedure1Config config;
   config.nmax = 4;
@@ -220,7 +220,7 @@ TEST(Procedure1, InvalidArgumentsThrow) {
 
 // --- Definition 2 -----------------------------------------------------------
 
-TEST(Procedure1Def2, SetsRemainNDetectionUnderDefinitionOne) {
+TEST(Procedure1Def2, SetsStillDetectEachTargetNTimesUnderDefinitionOne) {
   // The Definition-1 fallback guarantees the standard n-detection property
   // even when Definition-2 counting saturates early.
   const DetectionDb& db = paper_db();

@@ -409,6 +409,19 @@ TEST(Server, DeadlinedRequestNeverPoisonsTheCache) {
             std::string::npos);
 }
 
+TEST(Server, DeadlinePastTheClocksRangeMeansNoDeadline) {
+  Server server(small_server());
+  for (const char* deadline : {"10000000000000", "18446744073709551615"}) {
+    std::optional<ErrorKind> failure;
+    const std::string reply = server.handle_line(
+        std::string(R"({"id":1,"type":"worst_case","circuit":"bbtas",)") +
+            R"("deadline_ms":)" + deadline + "}",
+        &failure);
+    EXPECT_FALSE(failure.has_value()) << deadline;
+    EXPECT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
+  }
+}
+
 TEST(Server, MalformedLinesBecomeErrorResponsesNotThrows) {
   Server server(small_server());
   std::optional<ErrorKind> failure;

@@ -160,7 +160,7 @@ TEST(FaultSim, C17AllCollapsedFaultsDetectable) {
 }
 
 TEST(FaultSim, RedundantFaultHasEmptySet) {
-  // g = OR(a, NOT a) is constant 1: g/1 is undetectable.
+  // g = OR(a, NOT a) is constant 1: no vector detects g/1.
   CircuitBuilder b("redundant");
   const GateId a = b.add_input("a");
   const GateId na = b.add_gate(GateType::kNot, "na", {a});
@@ -238,7 +238,7 @@ TEST(BridgingSim, G6MatchesPaperSection3) {
             (std::vector<std::uint64_t>{12}));
 }
 
-TEST(BridgingSim, UndetectablePairWays) {
+TEST(BridgingSim, ContradictoryPairWayHasEmptySet) {
   // (10,1,11,0) requires 10=1 (b2&b3) and 11=0 (!b3&!b4): contradictory.
   const Circuit c = paper_example();
   const LineModel lines(c);

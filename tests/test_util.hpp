@@ -131,8 +131,8 @@ inline const std::vector<PaperFault>& paper_example_faults() {
 }
 
 /// Expected detection sets of the example circuit's detectable bridging
-/// faults, in enumeration order (the two undetectable ways of the pair
-/// {10,11} are filtered out by DetectionDb).
+/// faults, in enumeration order (the two ways of the pair {10,11} that no
+/// vector detects are filtered out by DetectionDb).
 inline const std::vector<std::vector<std::uint64_t>>&
 paper_example_bridging_sets() {
   static const std::vector<std::vector<std::uint64_t>> sets = {

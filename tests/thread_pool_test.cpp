@@ -1,14 +1,16 @@
 // thread_pool_test.cpp -- the worker pool and the process-wide executor of
 // persistent helper threads behind it: index coverage at every width and
 // nesting depth, exceptions and cancellation reaching the helpers, the busy
-// cap that keeps helpers from oversubscribing the widest pool, and ndetd's
-// session width.
+// cap that keeps helpers from oversubscribing the widest pool, ndetd's
+// session width, and the allocator that gives per-worker buffers their own
+// cache lines.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -259,6 +261,19 @@ TEST(ThreadPool, ServerSessionsTakeTheWholeThreadBudget) {
       server.handle_line(R"({"id":2,"type":"worst_case","circuit":"bbtas"})"));
   ASSERT_TRUE(reply.at("ok").as_bool());
   EXPECT_EQ(reply.at("session").at("thread_count").as_uint64(), 2u);
+}
+
+// Per-worker buffers allocated back to back, as one caller allocates them
+// for every worker: each starts on its own cache line, so no two share one.
+TEST(CacheLineAllocator, BuffersAllocatedTogetherStartOnTheirOwnLines) {
+  std::vector<std::vector<std::uint8_t, CacheLineAllocator<std::uint8_t>>>
+      buffers;
+  for (const std::size_t size : {1u, 3u, 63u, 64u, 65u, 200u, 1u, 7u})
+    buffers.emplace_back(size, std::uint8_t{1});
+  for (const auto& buffer : buffers)
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buffer.data()) %
+                  kCacheLineBytes,
+              0u);
 }
 
 }  // namespace

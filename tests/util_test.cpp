@@ -194,55 +194,6 @@ TEST(Rng, ChanceExtremes) {
   }
 }
 
-TEST(Rng, SplitProducesIndependentStream) {
-  Rng a(9);
-  Rng child = a.split();
-  // The child stream should not replicate the parent's continuation.
-  int equal = 0;
-  for (int i = 0; i < 64; ++i)
-    if (a.next() == child.next()) ++equal;
-  EXPECT_LT(equal, 4);
-}
-
-TEST(Rng, SplitStreamsAreScheduleInvariant) {
-  // Procedure 1's sharded engine depends on this: the k-th split of the
-  // master seed IS set k's stream, so consuming a sibling stream -- in any
-  // order, on any worker -- must not perturb it.  Split all streams first,
-  // drain them in opposite orders and with different intensities, and the
-  // sequences must match draw for draw.
-  Rng master_a(2005), master_b(2005);
-  Rng a0 = master_a.split();
-  Rng a1 = master_a.split();
-  Rng a2 = master_a.split();
-  Rng b0 = master_b.split();
-  Rng b1 = master_b.split();
-  Rng b2 = master_b.split();
-
-  // Schedule A: hammer stream 0, then read 1 and 2.
-  std::vector<std::uint64_t> seq_a1, seq_a2;
-  for (int i = 0; i < 1000; ++i) (void)a0.below(97);
-  for (int i = 0; i < 64; ++i) seq_a1.push_back(a1.below(1 << 20));
-  for (int i = 0; i < 64; ++i) seq_a2.push_back(a2.below(1 << 20));
-
-  // Schedule B: read 2 first, then 1, and never touch 0.
-  std::vector<std::uint64_t> seq_b1, seq_b2;
-  for (int i = 0; i < 64; ++i) seq_b2.push_back(b2.below(1 << 20));
-  for (int i = 0; i < 64; ++i) seq_b1.push_back(b1.below(1 << 20));
-
-  EXPECT_EQ(seq_a1, seq_b1);
-  EXPECT_EQ(seq_a2, seq_b2);
-  (void)b0;
-
-  // And sibling streams diverge from each other.
-  Rng m(7);
-  Rng s1 = m.split();
-  Rng s2 = m.split();
-  int equal = 0;
-  for (int i = 0; i < 64; ++i)
-    if (s1.next() == s2.next()) ++equal;
-  EXPECT_LT(equal, 4);
-}
-
 TEST(CounterRng, BlockKnownAnswerVectors) {
   // Pinned outputs of the keyed block function (Philox4x64-10; the round
   // function was cross-checked against the Random123 known-answer vectors
