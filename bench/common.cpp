@@ -3,13 +3,8 @@
 #include <cstdio>
 
 #include "fsm/benchmarks.hpp"
-#include "util/check.hpp"
 
 namespace ndet::bench {
-
-Circuit circuit_by_name(const std::string& name) {
-  return resolve_circuit(name);
-}
 
 std::vector<std::string> suite_names() {
   std::vector<std::string> names;

@@ -11,13 +11,8 @@
 #include <vector>
 
 #include "core/session.hpp"
-#include "netlist/circuit.hpp"
 
 namespace ndet::bench {
-
-/// Resolves a circuit by name: an FSM benchmark (synthesized with binary
-/// encoding), an embedded combinational circuit, or a path to a .bench file.
-Circuit circuit_by_name(const std::string& name);
 
 /// The FSM suite names in the paper's Table 2 order.
 std::vector<std::string> suite_names();

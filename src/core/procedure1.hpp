@@ -72,7 +72,7 @@ struct Procedure1Config {
   bool operator==(const Procedure1Config&) const = default;
 };
 
-/// Procedure-1 bookkeeping counters (reported by the perf bench).  All three
+/// Procedure-1 bookkeeping counters (the `stats` object of to_json).  All three
 /// are sums of per-set counts, so they are deterministic at every thread
 /// count.
 struct Procedure1Stats {

@@ -73,10 +73,8 @@ Circuit synthesize_fsm(const Kiss2Fsm& fsm, const SynthOptions& options) {
   const auto product_of = [&](const Kiss2Term& term) {
     const std::size_t state = fsm.state_index(term.current);
     const std::string key = term.input + "@" + std::to_string(state);
-    if (options.share_product_terms) {
-      const auto it = term_cache.find(key);
-      if (it != term_cache.end()) return it->second;
-    }
+    const auto it = term_cache.find(key);
+    if (it != term_cache.end()) return it->second;
     std::vector<GateId> literals;
     for (std::size_t i = 0; i < num_inputs; ++i) {
       const char c = term.input[i];
@@ -103,7 +101,7 @@ Circuit synthesize_fsm(const Kiss2Fsm& fsm, const SynthOptions& options) {
                  ? builder.add_gate(GateType::kBuf, name, literals)
                  : builder.add_gate(GateType::kAnd, name, literals);
     }
-    if (options.share_product_terms) term_cache.emplace(key, gate);
+    term_cache.emplace(key, gate);
     return gate;
   };
 

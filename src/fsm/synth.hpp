@@ -25,7 +25,6 @@ namespace ndet {
 /// Synthesis options.
 struct SynthOptions {
   StateEncoding encoding = StateEncoding::kBinary;
-  bool share_product_terms = true;  ///< merge identical AND cubes
   /// Maximum gate fanin after technology mapping: wider AND/OR planes are
   /// decomposed into balanced trees of gates with at most this many inputs
   /// (0 = unlimited, i.e. raw two-level logic).  The default of 4 mimics the

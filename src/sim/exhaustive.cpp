@@ -1,6 +1,6 @@
 #include "sim/exhaustive.hpp"
 
-#include <algorithm>
+#include <string>
 
 #include "logic/eval.hpp"
 #include "util/check.hpp"
@@ -35,26 +35,7 @@ ExhaustiveSimulator::ExhaustiveSimulator(const Circuit& circuit, int max_inputs)
   word_count_ = static_cast<std::size_t>((vector_count_ + 63) / 64);
   if (vector_count_ < 64)
     last_word_mask_ = (std::uint64_t{1} << vector_count_) - 1;
-  run(circuit);
-}
 
-ExhaustiveSimulator::ExhaustiveSimulator(const Circuit& circuit,
-                                         std::span<const std::uint64_t> vectors)
-    : circuit_(&circuit), explicit_vectors_(vectors.begin(), vectors.end()) {
-  require(!explicit_vectors_.empty(),
-          "ExhaustiveSimulator: empty explicit vector list");
-  const std::uint64_t space = circuit.vector_space_size();
-  for (const std::uint64_t v : explicit_vectors_)
-    require(v < space, "ExhaustiveSimulator: vector id " + std::to_string(v) +
-                           " outside the circuit's input space");
-  vector_count_ = explicit_vectors_.size();
-  word_count_ = static_cast<std::size_t>((vector_count_ + 63) / 64);
-  if (vector_count_ % 64 != 0)
-    last_word_mask_ = (std::uint64_t{1} << (vector_count_ % 64)) - 1;
-  run(circuit);
-}
-
-void ExhaustiveSimulator::run(const Circuit& circuit) {
   values_.assign(circuit.gate_count(), std::vector<std::uint64_t>(word_count_));
 
   std::vector<std::uint64_t> fanin_words;
@@ -96,8 +77,7 @@ bool ExhaustiveSimulator::input_bit(std::uint64_t v,
   const auto pi = circuit_->input_count();
   require(input_index < pi, "ExhaustiveSimulator::input_bit: bad input index");
   require(v < vector_count_, "ExhaustiveSimulator::input_bit: bad vector");
-  const std::uint64_t id = exhaustive() ? v : explicit_vectors_[v];
-  return (id >> (pi - 1 - input_index)) & 1u;
+  return (v >> (pi - 1 - input_index)) & 1u;
 }
 
 std::uint64_t ExhaustiveSimulator::input_word(std::size_t input_index,
@@ -106,15 +86,6 @@ std::uint64_t ExhaustiveSimulator::input_word(std::size_t input_index,
   require(input_index < pi, "ExhaustiveSimulator::input_word: bad input index");
   require(w < word_count_, "ExhaustiveSimulator::input_word: bad word");
   const std::size_t shift = pi - 1 - input_index;  // bit position in vector id
-  if (!exhaustive()) {
-    std::uint64_t word = 0;
-    const std::size_t begin = w * 64;
-    const std::size_t end =
-        std::min<std::size_t>(begin + 64, explicit_vectors_.size());
-    for (std::size_t p = begin; p < end; ++p)
-      word |= ((explicit_vectors_[p] >> shift) & 1u) << (p - begin);
-    return word;
-  }
   if (shift < 6) return kTogglePattern[shift];
   // Constant within a word: bit (shift-6) of the word index.
   return ((w >> (shift - 6)) & 1u) ? ~std::uint64_t{0} : 0;

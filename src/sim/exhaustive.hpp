@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "netlist/circuit.hpp"
@@ -24,20 +23,6 @@ class ExhaustiveSimulator {
   /// Simulates the circuit exhaustively.  Refuses circuits with more than
   /// `max_inputs` inputs (default 20, i.e. 1M vectors) to keep memory sane.
   explicit ExhaustiveSimulator(const Circuit& circuit, int max_inputs = 20);
-
-  /// List mode: simulates an explicit vector list instead of all of U.
-  /// Downstream detection "sets" then index into this list.  Vector ids
-  /// must be < 2^PI.
-  ExhaustiveSimulator(const Circuit& circuit,
-                      std::span<const std::uint64_t> vectors);
-
-  /// True in exhaustive mode, false in explicit-list mode.
-  bool exhaustive() const { return explicit_vectors_.empty(); }
-
-  /// The simulated vectors (list mode only; empty in exhaustive mode).
-  const std::vector<std::uint64_t>& explicit_vectors() const {
-    return explicit_vectors_;
-  }
 
   const Circuit& circuit() const { return *circuit_; }
 
@@ -67,13 +52,10 @@ class ExhaustiveSimulator {
   std::uint64_t input_word(std::size_t input_index, std::size_t w) const;
 
  private:
-  void run(const Circuit& circuit);
-
   const Circuit* circuit_;
   std::uint64_t vector_count_ = 0;
   std::size_t word_count_ = 0;
   std::uint64_t last_word_mask_ = ~std::uint64_t{0};
-  std::vector<std::uint64_t> explicit_vectors_;     // list mode only
   std::vector<std::vector<std::uint64_t>> values_;  // [gate][word]
 };
 

@@ -30,15 +30,11 @@ std::uint32_t FaultSimulator::next_epoch() const {
   return epoch_;
 }
 
-std::vector<GateId> FaultSimulator::affected_gates(GateId root) const {
-  return fanout_cone(good_->circuit(), root);
-}
-
 Bitset FaultSimulator::simulate(
     GateId start, const std::function<std::uint64_t(std::size_t)>& forced,
     int branch_slot, std::uint64_t branch_constant) const {
   const Circuit& circuit = good_->circuit();
-  const std::vector<GateId> affected = affected_gates(start);
+  const std::vector<GateId> affected = fanout_cone(circuit, start);
 
   const std::uint32_t mark = next_epoch();
   for (const GateId g : affected) in_affected_[g] = mark;

@@ -54,16 +54,12 @@ class FaultSimulator {
   std::vector<Bitset> detection_sets(std::span<const StuckAtFault> faults) const;
   std::vector<Bitset> detection_sets(std::span<const BridgingFault> faults) const;
 
-  /// Gates to resimulate when `root`'s output value changes: root plus its
-  /// transitive fanout, in ascending (topological) order.  Exposed because
-  /// the ternary simulator of Definition 2 shares it.
-  std::vector<GateId> affected_gates(GateId root) const;
-
  private:
-  /// Core resimulation.  `start` is the first affected gate.  When `forced`
-  /// is non-null the start gate's output is `forced(w)` instead of being
-  /// evaluated; otherwise the start gate is re-evaluated with fanin slot
-  /// `branch_slot` replaced by `branch_constant` (branch fault injection).
+  /// Core resimulation of `start` and its fanout cone, in ascending
+  /// (topological) order.  When `forced` is non-null the start gate's
+  /// output is `forced(w)` instead of being evaluated; otherwise the start
+  /// gate is re-evaluated with fanin slot `branch_slot` replaced by
+  /// `branch_constant` (branch fault injection).
   Bitset simulate(GateId start,
                   const std::function<std::uint64_t(std::size_t)>& forced,
                   int branch_slot, std::uint64_t branch_constant) const;

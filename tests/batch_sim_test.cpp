@@ -3,14 +3,13 @@
 // BatchFaultSimulator exists purely for speed; its contract is that every
 // T(f) and T(g) it produces is bit-identical to FaultSimulator's.  The suite
 // holds it to that across the FSM benchmark circuits (every machine small
-// enough for exhaustive simulation in test time), in explicit-vector (list)
-// mode, and under varying worker-pool widths.  It also pins the identity
+// enough for exhaustive simulation in test time) and under varying
+// worker-pool widths.  It also pins the identity
 // that would let a bridge's set be composed from a stem stuck-at set and
 // the aggressor's fault-free values.
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <utility>
@@ -121,20 +120,6 @@ TEST(BatchFaultSim, BridgeSetIsTheVictimStemFaultMaskedByTheAggressor) {
           << name << " bridge " << to_string(bridge, circuit);
     }
   }
-}
-
-TEST(BatchFaultSim, CrossValidatesInExplicitVectorMode) {
-  // Over an explicit vector list the batched engine must agree with the
-  // reference too.
-  const Circuit circuit = fsm_benchmark_circuit("bbara");
-  const LineModel lines(circuit);
-  const std::vector<std::uint64_t> vectors = {0, 3, 7, 11, 42, 63, 100, 255};
-  const ExhaustiveSimulator good(circuit, vectors);
-  const FaultSimulator reference(good, lines);
-  const BatchFaultSimulator batched(good, lines, shared_pool());
-  const std::vector<StuckAtFault> targets = collapse_stuck_at_faults(lines);
-  expect_identical_sets(reference.detection_sets(targets),
-                        batched.detection_sets(targets), "bbara", "list-mode");
 }
 
 TEST(BatchFaultSim, DeterministicAcrossThreadCounts) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "fsm/benchmarks.hpp"
 #include "fsm/encoding.hpp"
 #include "fsm/kiss2.hpp"
@@ -231,15 +234,33 @@ TEST(Synth, ToyMachineOneHot) {
   check_synthesis(parse_kiss2(kToy, "toy"), StateEncoding::kOneHot);
 }
 
+// State a's cube 01 is listed twice, once per output bit.
+constexpr const char* kSplitOutputs = R"(
+.i 2
+.o 2
+.s 2
+.r a
+01 a b 10
+01 a b 01
+1- a a 00
+-- b a 11
+.e
+)";
+
 TEST(Synth, SharesProductTerms) {
-  // Sharing on: identical cubes across output bits create one AND gate.
-  const Kiss2Fsm fsm = parse_kiss2(kToy, "toy");
-  SynthOptions shared;
-  SynthOptions unshared;
-  unshared.share_product_terms = false;
-  const Circuit with = synthesize_fsm(fsm, shared);
-  const Circuit without = synthesize_fsm(fsm, unshared);
-  EXPECT_LE(with.gate_count(), without.gate_count());
+  // Identical cubes of one state become one AND gate, read by every output
+  // that lists the cube: p0 is 01@a, p1 is 1-@a, and b's cube is the lone
+  // state literal, which needs no gate.
+  const Circuit c = synthesize_fsm(parse_kiss2(kSplitOutputs, "split"));
+  const std::optional<GateId> shared = c.find("p0");
+  ASSERT_TRUE(shared.has_value());
+  EXPECT_TRUE(c.find("p1").has_value());
+  EXPECT_FALSE(c.find("p2").has_value());
+  for (const GateId po : {c.outputs()[0], c.outputs()[1]}) {
+    const std::vector<GateId>& fanins = c.gate(po).fanins;
+    EXPECT_NE(std::find(fanins.begin(), fanins.end(), *shared), fanins.end())
+        << c.gate(po).name;
+  }
 }
 
 // Synthesis agreement for every hand-written machine under binary encoding.

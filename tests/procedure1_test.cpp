@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
 #include <numeric>
 #include <set>
 #include <string>
@@ -217,6 +219,66 @@ TEST(Procedure1, InvalidArgumentsThrow) {
   EXPECT_THROW((void)run_procedure1(db, bad, config, shared_pool()),
                contract_error);
 }
+
+// --- The first draw ---------------------------------------------------------
+
+// Iteration 1 visits f1 first, the detectable target with the smallest N(f)
+// (ties to the lowest index, as the engine's stable sort orders them), while
+// every T_k is still empty.  So each set's first test is uniform over T(f1),
+// and each of its N tests starts Binomial(K, 1/N) of the K sets.  The law
+// shares no reasoning with the draws (CounterRng, nth_in_difference) or the
+// visit order that it checks.
+struct FirstDrawCase {
+  const char* circuit;
+  std::uint64_t seed;
+};
+
+// gtest_discover_tests names each ctest case after this printed value.
+void PrintTo(const FirstDrawCase& c, std::ostream* os) { *os << c.circuit; }
+
+class Procedure1FirstDraw : public ::testing::TestWithParam<FirstDrawCase> {};
+
+TEST_P(Procedure1FirstDraw, IsUniformOverTheFirstTarget) {
+  const DetectionDb db = DetectionDb::build(
+      resolve_circuit(GetParam().circuit), {}, shared_pool());
+  const std::vector<DetectionSet>& sets = db.target_sets();
+  std::size_t f1 = sets.size();
+  for (std::size_t i = 0; i < sets.size(); ++i)
+    if (sets[i].count() > 0 &&
+        (f1 == sets.size() || sets[i].count() < sets[f1].count()))
+      f1 = i;
+  ASSERT_LT(f1, sets.size());
+  ASSERT_EQ(sets[f1].count(), 4u);
+
+  Procedure1Config config;
+  config.nmax = 1;
+  config.num_sets = 4000;
+  config.seed = GetParam().seed;
+  config.keep_test_sets = true;
+  const AverageCaseResult result =
+      run_procedure1(db, {}, config, shared_pool());
+
+  std::map<std::uint32_t, std::size_t> starts;
+  for (const std::vector<std::uint32_t>& tests : result.test_sets[0]) {
+    ASSERT_FALSE(tests.empty());
+    ASSERT_TRUE(sets[f1].test(tests[0])) << "first test " << tests[0];
+    ++starts[tests[0]];
+  }
+  const double k = static_cast<double>(config.num_sets);
+  const double p = 1.0 / static_cast<double>(sets[f1].count());
+  const double sigma = std::sqrt(k * p * (1.0 - p));
+  sets[f1].for_each_set([&](std::size_t v) {
+    EXPECT_NEAR(static_cast<double>(starts[static_cast<std::uint32_t>(v)]),
+                k * p, 6.0 * sigma)
+        << "vector " << v;
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Circuits, Procedure1FirstDraw,
+    ::testing::Values(FirstDrawCase{"paper_example", 2005},
+                      FirstDrawCase{"bbara", 7}, FirstDrawCase{"tav", 11},
+                      FirstDrawCase{"s8", 13}));
 
 // --- Definition 2 -----------------------------------------------------------
 

@@ -98,25 +98,6 @@ TEST(Exhaustive, SmallCircuitLastWordMask) {
   EXPECT_EQ(sim.last_word_mask(), 0xFFull);
 }
 
-TEST(Exhaustive, ExplicitVectorListMode) {
-  const Circuit c = paper_example();
-  const std::vector<std::uint64_t> tests{6, 7, 12};
-  const ExhaustiveSimulator sim(c, tests);
-  EXPECT_FALSE(sim.exhaustive());
-  EXPECT_EQ(sim.vector_count(), 3u);
-  // Position 0 simulates vector 6: gate 10 = b2 & b3 = 1.
-  EXPECT_TRUE(sim.good_value(*c.find("10"), 0));
-  // Position 2 simulates vector 12: gate 9 = 1.
-  EXPECT_TRUE(sim.good_value(*c.find("9"), 2));
-  EXPECT_FALSE(sim.good_value(*c.find("11"), 2));
-}
-
-TEST(Exhaustive, ExplicitListRejectsOutOfSpaceVectors) {
-  const Circuit c = paper_example();
-  const std::vector<std::uint64_t> tests{16};
-  EXPECT_THROW(ExhaustiveSimulator(c, tests), contract_error);
-}
-
 // --- Stuck-at detection sets (the Table 1 oracle) --------------------------
 
 class PaperFaultSets : public ::testing::TestWithParam<std::size_t> {};

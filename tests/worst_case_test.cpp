@@ -169,7 +169,8 @@ TEST(NminOf, SubsetTargetGivesOne) {
 
 // The defining property of nmin (Section 2), checked on sets that share no
 // code with the database the sweep reads: every T(f) and T(g) here comes
-// from reference_detects, one vector at a time.  For n = nmin(g) - 1 every
+// from sim/reference, one vector at a time, comparing each faulty machine's
+// outputs with one fault-free pass per vector.  For n = nmin(g) - 1 every
 // target keeps min(n, N(f)) tests outside T(g), so some (nmin - 1)-detection
 // test set misses g; for n = nmin some overlapping target cannot, so every
 // nmin-detection test set detects g; and nmin is kNeverGuaranteed exactly
@@ -185,14 +186,6 @@ TEST_P(NminReference, MeetsItsDefinitionOnReferenceSets) {
   ASSERT_LE(db.circuit().input_count(), 8u);
   const WorstCaseResult worst = analyze_worst_case(db, shared_pool());
 
-  const std::uint64_t vectors = db.vector_count();
-  std::vector<std::vector<bool>> target_sets;
-  for (const StuckAtFault& f : db.targets()) {
-    std::vector<bool>& tf = target_sets.emplace_back(vectors);
-    for (std::uint64_t v = 0; v < vectors; ++v)
-      tf[v] = reference_detects(db.lines(), f, v);
-  }
-
   std::vector<std::size_t> sample(db.untargeted().size());
   std::iota(sample.begin(), sample.end(), std::size_t{0});
   if (sample.size() > kSampledFaults) {
@@ -202,10 +195,31 @@ TEST_P(NminReference, MeetsItsDefinitionOnReferenceSets) {
     sample.resize(kSampledFaults);
   }
 
-  for (const std::size_t j : sample) {
-    std::vector<bool> tg(vectors);
-    for (std::uint64_t v = 0; v < vectors; ++v)
-      tg[v] = reference_detects(db.circuit(), db.untargeted()[j], v);
+  const Circuit& circuit = db.circuit();
+  const std::uint64_t vectors = db.vector_count();
+  const auto outputs_differ = [&](const std::vector<bool>& good,
+                                  const std::vector<bool>& faulty) {
+    for (const GateId po : circuit.outputs())
+      if (good[po] != faulty[po]) return true;
+    return false;
+  };
+  std::vector<std::vector<bool>> target_sets(db.targets().size(),
+                                             std::vector<bool>(vectors));
+  std::vector<std::vector<bool>> sampled_sets(sample.size(),
+                                              std::vector<bool>(vectors));
+  for (std::uint64_t v = 0; v < vectors; ++v) {
+    const std::vector<bool> good = reference_good_values(circuit, v);
+    for (std::size_t i = 0; i < target_sets.size(); ++i)
+      target_sets[i][v] = outputs_differ(
+          good, reference_faulty_values(db.lines(), db.targets()[i], v));
+    for (std::size_t s = 0; s < sample.size(); ++s)
+      sampled_sets[s][v] = outputs_differ(
+          good, reference_faulty_values(circuit, db.untargeted()[sample[s]], v));
+  }
+
+  for (std::size_t s = 0; s < sample.size(); ++s) {
+    const std::size_t j = sample[s];
+    const std::vector<bool>& tg = sampled_sets[s];
     ASSERT_NE(std::find(tg.begin(), tg.end(), true), tg.end()) << "g" << j;
 
     const std::uint64_t nmin = worst.nmin[j];
@@ -239,16 +253,18 @@ TEST_P(NminReference, MeetsItsDefinitionOnReferenceSets) {
 }
 
 // The library circuits, then suite machines of at most 8 inputs in Table 2
-// order.  dk14, dk16, donfile, ex2 and bbara (1-7 s each in Release) and
-// ex3, ex7, lion9 and train11 (0.3-0.5 s each) are left out, so all 25
-// cases take about 2 s; ex6 (0.7 s) is the cheaper 8-input machine.
+// order: 31 cases, about 2.7 s summed in Release.  The costliest are bbara
+// (0.85 s), dk14 (0.52 s) and ex6 (0.22 s); lion9, train11, ex3 and ex7
+// take 0.11-0.14 s each.  ex2, donfile and dk16 (1.7-2.8 s each) are left
+// out for time.
 INSTANTIATE_TEST_SUITE_P(
     Circuits, NminReference,
     ::testing::Values("paper_example", "c17", "adder2", "adder3", "mux4",
                       "parity8", "majority3", "decoder2x4", "comparator2",
                       "alu2", "lion", "dk27", "ex5", "train4", "bbtas",
-                      "dk15", "dk512", "dk17", "firstex", "mc", "modulo12",
-                      "s8", "tav", "beecount", "ex6"));
+                      "dk15", "dk512", "dk14", "dk17", "firstex", "lion9",
+                      "mc", "modulo12", "s8", "tav", "ex7", "train11",
+                      "beecount", "ex3", "ex6", "bbara"));
 
 // --- Report rendering -------------------------------------------------------
 
